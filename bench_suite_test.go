@@ -20,6 +20,11 @@ func BenchmarkInsertApproxLSHHist(b *testing.B)  { benchsuite.InsertApproxLSHHis
 func BenchmarkEndToEndRun(b *testing.B)          { benchsuite.EndToEndRun(b) }
 func BenchmarkRunMixedSerial(b *testing.B)       { benchsuite.RunMixedSerial(b) }
 
+// BenchmarkRestoredHit is BenchmarkEndToEndRun on a System restored from
+// the warm one through SaveState/LoadState. Restored plans are compiled
+// like live ones, so the two agree within run-to-run spread.
+func BenchmarkRestoredHit(b *testing.B) { benchsuite.RestoredHit(b) }
+
 // BenchmarkRebindCachedPlan isolates the cache-hit rebind: re-costing a
 // cached plan's rebind program at fresh parameter values, O(params) work
 // with no prediction or execution attached.

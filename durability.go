@@ -379,7 +379,8 @@ func (s *System) stopCheckpointer() {
 // directory's snapshot and compacts the WAL segments it makes redundant.
 // The snapshot lands atomically (temp file, fsync, rename) so a crash
 // mid-checkpoint leaves the previous checkpoint intact. Requires
-// durability to be enabled.
+// durability to be enabled. Calls are serialized: callers and the
+// background checkpointer share one temp file.
 //
 // The compaction bound is taken before the save: every template's
 // applied-sequence watermark only grows, so a snapshot written afterwards
@@ -389,6 +390,8 @@ func (s *System) Checkpoint() (err error) {
 	if s.wal == nil {
 		return &SnapshotError{Op: "checkpoint", Err: fmt.Errorf("durability not enabled")}
 	}
+	s.checkpointMu.Lock()
+	defer s.checkpointMu.Unlock()
 	t0 := time.Now()
 	defer func() {
 		if err != nil {
@@ -404,8 +407,8 @@ func (s *System) Checkpoint() (err error) {
 		return &SnapshotError{Op: "checkpoint", Err: err}
 	}
 	if err := s.SaveState(f); err != nil {
-		f.Close()       //nolint:errcheck
-		os.Remove(tmp)  //nolint:errcheck
+		f.Close()      //nolint:errcheck
+		os.Remove(tmp) //nolint:errcheck
 		return err
 	}
 	if err := f.Sync(); err != nil {

@@ -23,7 +23,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/stats"
@@ -565,4 +567,62 @@ func TestDegradeBothCorrupt(t *testing.T) {
 		t.Errorf("replayed %d of %d surviving records", rep.WALReplayed, len(scan.Records))
 	}
 	runDurableWorkload(t, sys2, 5, 5)
+}
+
+// TestDurableConcurrentCheckpoints: explicit Checkpoint callers and the
+// background checkpointer share one temp file. Checkpoint serializes them,
+// so every call made during live runs succeeds and the directory reopens
+// with an intact checkpoint.
+func TestDurableConcurrentCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, func(o *Options) {
+		o.Durability.DisableCheckpointer = false
+		o.Durability.CheckpointInterval = 2 * time.Millisecond
+	})
+	tmpl, err := sys.Template("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, calls = 4, 15
+	errs := make(chan error, callers*calls+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 150; i++ {
+			inst, err := sys.Optimizer().InstanceAt(tmpl, []float64{0.25 + rng.Float64()*0.1, 0.25 + rng.Float64()*0.1})
+			if err == nil {
+				_, err = sys.Run("Q1", inst.Values)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if err := sys.Checkpoint(); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openDurable(t, dir, nil)
+	defer reopened.Close() //nolint:errcheck
+	if rep := reopened.LoadStateReport(); rep.Corrupt {
+		t.Fatalf("reopen after concurrent checkpoints reports corruption: %s", rep.Reason)
+	}
 }

@@ -12,6 +12,7 @@
 package benchsuite
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -238,6 +239,56 @@ func runEnv(b *testing.B) (*ppc.System, map[string][][]float64) {
 // rebind, execute) in steady state on a single template.
 func EndToEndRun(b *testing.B) {
 	sys, vals := runEnv(b)
+	pts := vals["Q1"]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Run("Q1", pts[i%len(pts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var (
+	restoredOnce sync.Once
+	restoredErr  error
+	restoredSys  *ppc.System
+)
+
+// restoredEnv restores runEnv's warm System into a fresh one through
+// SaveState and LoadState: the plan cache, learners and candidate sets a
+// restart brings back.
+func restoredEnv(b *testing.B) (*ppc.System, map[string][][]float64) {
+	b.Helper()
+	warm, vals := runEnv(b)
+	restoredOnce.Do(func() {
+		var buf bytes.Buffer
+		if err := warm.SaveState(&buf); err != nil {
+			restoredErr = err
+			return
+		}
+		sys, err := ppc.Open(ppc.Options{TPCH: tpch.Config{Scale: 2000, Seed: 5}})
+		if err != nil {
+			restoredErr = err
+			return
+		}
+		if err := sys.LoadState(&buf); err != nil {
+			restoredErr = err
+			return
+		}
+		restoredSys = sys
+	})
+	if restoredErr != nil {
+		b.Fatal(restoredErr)
+	}
+	return restoredSys, vals
+}
+
+// RestoredHit is EndToEndRun on a System restored from the warm one's
+// saved state: restored plans serve on the same compiled path as live
+// ones, so the two should agree within run-to-run spread.
+func RestoredHit(b *testing.B) {
+	sys, vals := restoredEnv(b)
 	pts := vals["Q1"]
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -24,6 +24,7 @@ var Suite = []struct {
 	{"InsertApproxLSHHist", InsertApproxLSHHist},
 	{"WALAppend", WALAppend},
 	{"EndToEndRun", EndToEndRun},
+	{"RestoredHit", RestoredHit},
 	{"RebindCachedPlan", RebindCachedPlan},
 	{"RunWithWAL", RunWithWAL},
 	{"RunMixedSerial", RunMixedSerial},

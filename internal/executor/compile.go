@@ -8,10 +8,9 @@
 // The compiled engine is columnar with late materialization: intermediate
 // results are selection vectors of int32 row ids per base relation, and
 // full rows are only materialized once, into the final Result. Plans the
-// compiler cannot express (string-keyed merge joins, aggregates over
-// string columns) return an error and the caller falls back to the
-// row-at-a-time engine in executor.go, which remains the semantic
-// reference.
+// compiler cannot express (string-keyed merge joins, aggregates other than
+// COUNT over string columns) return an error. The row-at-a-time engine in
+// executor.go remains the semantic reference the tests compare against.
 package executor
 
 import (
@@ -364,10 +363,14 @@ func (c *compiler) agg(n *optimizer.Node, child *cNode) (*cAgg, error) {
 			if err != nil {
 				return nil, fmt.Errorf("executor: aggregate column %s not in input", item.Col)
 			}
-			if col.Kind != tpch.KindNumeric {
-				return nil, fmt.Errorf("executor: aggregate over string column %s", item.Col)
+			// COUNT(col) counts rows as COUNT(*) does and reads no values;
+			// the other aggregates read a numeric input column.
+			if item.Agg != optimizer.AggCount {
+				if col.Kind != tpch.KindNumeric {
+					return nil, fmt.Errorf("executor: aggregate over string column %s", item.Col)
+				}
+				spec.col, spec.slot = col, slot
 			}
-			spec.col, spec.slot = col, slot
 		}
 		agg.specs = append(agg.specs, spec)
 		agg.outSchema = append(agg.outSchema, optimizer.ColRef{Column: item.String()})

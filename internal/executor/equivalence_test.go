@@ -311,3 +311,34 @@ func TestCompiledArenaParallel(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCompiledCountStringColumn: COUNT over a string column counts rows,
+// as COUNT(*) does, in both engines (grouped and global).
+func TestCompiledCountStringColumn(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT COUNT(p.p_brand), COUNT(*) FROM part p WHERE p.p_size <= 20",
+		"SELECT p.p_size, COUNT(p.p_type) FROM part p WHERE p.p_size <= 20 GROUP BY p.p_size",
+	} {
+		q, err := parseSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := opt.Optimize(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := exec.Compile(plan, q)
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", sql, err)
+		}
+		got, err := cp.Exec(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := exec.Run(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, sql, want, got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/faults"
+	"repro/internal/tpch"
 )
 
 // Memo is the per-template optimization memo: every piece of the
@@ -108,6 +109,9 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 			return nil, fmt.Errorf("optimizer: unknown table %s", t.Table)
 		}
 	}
+	if err := o.checkKinds(q); err != nil {
+		return nil, err
+	}
 	aliasIdx := make(map[string]int, n)
 	for i, t := range q.Tables {
 		aliasIdx[t.Alias] = i
@@ -157,6 +161,58 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 		return &dpScratch{sets: make([]candSet, 1<<uint(n))}
 	}
 	return m, nil
+}
+
+// checkKinds rejects the template shapes the compiled executor cannot
+// answer at any parameter values: a numeric comparison on a string column
+// or a string comparison on a numeric one, an equi-join between columns of
+// different kinds, and an aggregate other than COUNT over a string column.
+// Callers have validated aliases and tables.
+func (o *Optimizer) checkKinds(q *Query) error {
+	kind := func(c ColRef) (tpch.ColKind, error) {
+		col := o.db.Table(q.Binding(c.Alias).Table).Column(c.Column)
+		if col == nil {
+			return 0, fmt.Errorf("optimizer: unknown column %s", c)
+		}
+		return col.Kind, nil
+	}
+	for _, p := range q.Preds {
+		k, err := kind(p.Col)
+		if err != nil {
+			return err
+		}
+		switch p.Kind {
+		case PredJoin:
+			rk, err := kind(p.RightCol)
+			if err != nil {
+				return err
+			}
+			if k != rk {
+				return fmt.Errorf("optimizer: join %s = %s compares a string with a number", p.Col, p.RightCol)
+			}
+		case PredCmpStr:
+			if k != tpch.KindString {
+				return fmt.Errorf("optimizer: string comparison on numeric column %s", p.Col)
+			}
+		default:
+			if k != tpch.KindNumeric {
+				return fmt.Errorf("optimizer: numeric comparison on string column %s", p.Col)
+			}
+		}
+	}
+	for _, s := range q.Select {
+		if s.Agg == AggNone || s.Agg == AggCount {
+			continue
+		}
+		k, err := kind(s.Col)
+		if err != nil {
+			return err
+		}
+		if k != tpch.KindNumeric {
+			return fmt.Errorf("optimizer: %s over string column", s)
+		}
+	}
+	return nil
 }
 
 // OptimizeMemo selects the cheapest plan for the memoized template at the

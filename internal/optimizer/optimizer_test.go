@@ -10,6 +10,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/optimizer"
 	"repro/internal/queries"
+	"repro/internal/sqlparse"
 	"repro/internal/tpch"
 )
 
@@ -319,5 +320,33 @@ func TestFingerprintInsensitiveToParameterValues(t *testing.T) {
 	}
 	if p1.Root.IndexLo == p2.Root.IndexLo && p1.Root.Op == optimizer.OpIndexScan {
 		t.Error("expected different instantiated bounds")
+	}
+}
+
+// TestNewMemoRejectsKindMismatches: NewMemo (run at Register) rejects the
+// template shapes the compiled executor cannot answer, and accepts COUNT
+// and GROUP BY over string columns and string-keyed joins.
+func TestNewMemoRejectsKindMismatches(t *testing.T) {
+	cases := []struct {
+		sql string
+		ok  bool
+	}{
+		{"SELECT MIN(p.p_brand) FROM part p WHERE p.p_size <= ?", false},
+		{"SELECT SUM(c.c_mktsegment) FROM customer c WHERE c.c_date <= ?", false},
+		{"SELECT COUNT(*) FROM part p, customer c WHERE p.p_brand = c.c_custkey AND p.p_size <= ?", false},
+		{"SELECT COUNT(*) FROM part p WHERE p.p_brand <= ? AND p.p_size <= ?", false},
+		{"SELECT COUNT(*) FROM part p WHERE p.p_size = 'abc'", false},
+		{"SELECT COUNT(p.p_brand) FROM part p WHERE p.p_size <= ?", true},
+		{"SELECT p.p_brand, COUNT(*) FROM part p WHERE p.p_size <= ? GROUP BY p.p_brand", true},
+		{"SELECT COUNT(*) FROM part p, customer c WHERE p.p_brand = c.c_mktsegment AND p.p_size <= ?", true},
+	}
+	for _, c := range cases {
+		q, err := sqlparse.Parse(c.sql, queries.Schema)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if _, err := opt.NewMemo(q); (err == nil) != c.ok {
+			t.Errorf("%s: NewMemo error = %v, want ok=%v", c.sql, err, c.ok)
+		}
 	}
 }

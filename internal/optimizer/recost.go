@@ -10,10 +10,12 @@ import (
 // index scan bounds), and recomputes cardinality and cost estimates bottom
 // up under the current statistics — without re-running plan enumeration.
 //
-// This is exactly what a plan cache does on a hit, and it doubles as the
-// cost oracle for the negative-feedback detector: the recosted Cost of a
-// cached plan at a new plan space point is the execution cost the paper's
-// prototype would observe when running that (possibly stale) plan there.
+// This is what a plan cache does on a hit; the facade does it through the
+// in-place RebindProgram, and Recost is the reference that program is
+// tested against. The experiment harnesses use it as the cost oracle for
+// the negative-feedback detector: the recosted Cost of a cached plan at a
+// new plan space point is the execution cost the paper's prototype would
+// observe when running that (possibly stale) plan there.
 func (o *Optimizer) Recost(q *Query, plan *Plan, params []float64) (*Plan, error) {
 	if got, want := len(params), q.ParamDegree(); got != want {
 		return nil, fmt.Errorf("optimizer: got %d parameters, want %d", got, want)

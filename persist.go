@@ -311,23 +311,32 @@ func (s *System) LoadState(r io.Reader) (err error) {
 		report.Templates++
 	}
 	// Restore plan trees and cache membership under the cache lock
-	// (regMu > cacheMu in the hierarchy). A plan without a tree, or whose
-	// owning template is not in the snapshot, is dropped (Run re-optimizes
-	// on demand).
+	// (regMu > cacheMu in the hierarchy), compiling each plan as internPlan
+	// does. An entry registration already interned for the same template
+	// (a candidate plan) is kept. A plan without a tree, whose owning
+	// template is not in the snapshot, or that does not compile is dropped
+	// (Run re-optimizes on demand).
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	for _, sp := range in.Plans {
 		owner := s.templates[sp.Template]
+		reason := ""
 		if sp.Root == nil || owner == nil {
+			reason = fmt.Sprintf("plan %d has no tree or unknown template %q", sp.ID, sp.Template)
+		} else if have := s.planByID[sp.ID]; have == nil || have.owner != owner {
+			entry, err := s.compilePlan(owner, &optimizer.Plan{Root: sp.Root, Cost: sp.Cost, Fingerprint: sp.Print})
+			if err != nil {
+				reason = err.Error()
+			} else {
+				s.planByID[sp.ID] = entry
+			}
+		}
+		if reason != "" {
 			report.Corrupt = true
 			if report.Reason == "" {
-				report.Reason = fmt.Sprintf("plan %d has no tree or unknown template %q", sp.ID, sp.Template)
+				report.Reason = reason
 			}
 			continue
-		}
-		s.planByID[sp.ID] = &cachedPlan{
-			owner: owner,
-			plan:  &optimizer.Plan{Root: sp.Root, Cost: sp.Cost, Fingerprint: sp.Print},
 		}
 		report.Plans++
 	}

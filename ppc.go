@@ -199,7 +199,7 @@ func (o Options) withDefaults() Options {
 // Lock hierarchy (see DESIGN.md "Concurrency architecture"; locks are
 // always acquired top to bottom, never in reverse):
 //
-//	regMu  > core.Online.mu > cacheMu > TemplateEstimator.mu
+//	checkpointMu > regMu > core.Online.mu > cacheMu > TemplateEstimator.mu
 //
 // regMu guards the template registry map; each core.Online.mu serializes
 // that template's learner write path (feedback application, snapshot
@@ -255,7 +255,9 @@ type System struct {
 	// corrPending holds recovered correction records for templates the
 	// checkpoint did not contain, symmetric with walPending.
 	corrPending map[string][]stats.CorrRecord
+	// checkpointMu serializes Checkpoint calls (they share one temp file).
 	// checkpointStop/Done bracket the background checkpointer goroutine.
+	checkpointMu   sync.Mutex
 	checkpointStop chan struct{}
 	checkpointDone chan struct{}
 	checkpointOnce sync.Once
@@ -273,12 +275,10 @@ type System struct {
 // The owner pointer lets the eviction scorer and the foreign-plan guard
 // resolve a plan's template without the registry lock.
 //
-// prog and rebind are the plan's compiled forms, built once at intern time
+// prog and rebind are the plan's compiled forms, built once by compilePlan
 // so a cache hit does O(params) work instead of O(plan): prog executes the
 // plan through the batched columnar engine, rebind re-costs it by binding
-// parameter slots in place. Either may be nil when the plan's shape is not
-// compilable — the serving path then falls back to the tree-walking
-// executor and the deep-copy Recost, which handle every shape.
+// parameter slots in place. Both are always set.
 type cachedPlan struct {
 	owner  *templateState
 	plan   *optimizer.Plan
@@ -773,7 +773,10 @@ func (s *System) refreshCandidates(st *templateState) {
 	ids := make([]int, 0, len(cands))
 	fps := make([]string, 0, len(cands))
 	for _, c := range cands {
-		id, _ := s.internPlan(st, c.Plan)
+		id, _, err := s.internPlan(st, c.Plan)
+		if err != nil {
+			continue
+		}
 		ids = append(ids, id)
 		fps = append(fps, c.Plan.Fingerprint)
 	}
@@ -786,8 +789,8 @@ func (s *System) refreshCandidates(st *templateState) {
 // the instance in O(params) via its cached rebind program and the cheapest
 // wins — the plan the full optimizer would pick whenever the set covers the
 // optimum, at a fraction of the cost. Returns ok=false when candidates are
-// disabled, stale against the correction epoch, or not recostable; the
-// caller then falls back to full optimization.
+// disabled, stale against the correction epoch, or none is still cached and
+// recostable; the caller then falls back to full optimization.
 func (s *System) candidateRoute(st *templateState, values []float64) (int, float64, bool) {
 	if !s.opts.Candidates.Enable {
 		return 0, 0, false
@@ -805,32 +808,21 @@ func (s *System) candidateRoute(st *templateState, values []float64) (int, float
 		// optimizer.
 		return 0, 0, false
 	}
-	s.cacheMu.RLock()
-	type cand struct {
-		id    int
-		entry *cachedPlan
-	}
-	live := make([]cand, 0, len(ids))
-	for _, id := range ids {
-		if entry := s.planByID[id]; entry != nil && entry.owner == st && entry.rebind != nil {
-			live = append(live, cand{id: id, entry: entry})
-		}
-	}
-	s.cacheMu.RUnlock()
 	bestID, bestCost, found := 0, 0.0, false
-	for _, c := range live {
-		cost, err := c.entry.rebind.Recost(s.opt, values)
+	for _, id := range ids {
+		entry := s.ownedPlan(st, id)
+		if entry == nil {
+			continue
+		}
+		cost, err := entry.rebind.Recost(s.opt, values)
 		if err != nil {
 			continue
 		}
 		if !found || cost < bestCost {
-			bestID, bestCost, found = c.id, cost, true
+			bestID, bestCost, found = id, cost, true
 		}
 	}
-	if !found {
-		return 0, 0, false
-	}
-	return bestID, bestCost, true
+	return bestID, bestCost, found
 }
 
 // candidateHas reports whether the fingerprint is in the candidate set.
@@ -1011,25 +1003,18 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 		}
 	}
 
-	bound, prog, err := s.resolvePlan(st, res, inst, values)
+	prog, err := s.resolvePlan(st, res, inst, values)
 	if err != nil {
 		return nil, err
 	}
 
 	if s.opts.ExecutePlans {
+		// Batched columnar execution over pooled arenas. Every run also
+		// harvests true per-operator cardinalities — for the estimation
+		// q-error histogram always, and for the correction learner when the
+		// adaptive layer is on.
 		t1 := time.Now()
-		var out *executor.Result
-		var xerr error
-		if prog != nil {
-			// Compiled path: batched columnar execution over pooled arenas,
-			// bit-identical to the tree-walking engine's output. Every
-			// compiled run also harvests true per-operator cardinalities —
-			// for the estimation q-error histogram always, and for the
-			// correction learner when the adaptive layer is on.
-			out, xerr = s.execObserved(st, prog, values)
-		} else {
-			out, xerr = s.exec.Run(bound)
-		}
+		out, xerr := s.execObserved(st, prog, values)
 		if xerr != nil {
 			return nil, &PipelineError{Stage: "execute", Template: template, Err: xerr}
 		}
@@ -1202,7 +1187,10 @@ func (s *System) runDegraded(st *templateState, res *RunResult, inst optimizer.I
 	res.OptimizeTime += time.Since(t1)
 	res.Invoked = true
 	res.CacheHit = false
-	res.PlanID, _ = s.internPlan(st, plan)
+	var err error
+	if res.PlanID, _, err = s.internPlan(st, plan); err != nil {
+		return err
+	}
 	st.degradedRuns.Add(1)
 	// The validated label still feeds the quarantined learner so it
 	// retrains while degraded. A rejected point (dimensionality mismatch)
@@ -1239,82 +1227,76 @@ func (s *System) memoFor(st *templateState) *optimizer.Memo {
 	return fresh
 }
 
-// resolvePlan fetches the plan to execute: on a hit, rebind the cached
-// plan's compiled program in O(params) (falling back to the deep-copy
-// Recost when the plan never compiled); on a miss (or a foreign/unusable
-// tree) optimize afresh through the template's memo. Rebinding and
-// optimization run outside all locks. The returned program, when non-nil,
-// is the compiled form of the returned plan and is what Run executes; the
-// bound tree is only executed when prog is nil.
-func (s *System) resolvePlan(st *templateState, res *RunResult, inst optimizer.Instance, values []float64) (*optimizer.Plan, *executor.CompiledPlan, error) {
+// resolvePlan fetches the compiled plan to execute: on a hit, rebind the
+// cached plan's parameter slots and re-cost it in O(params); on a miss (or
+// a foreign plan, or a failed re-cost) optimize afresh through the
+// template's memo. Rebinding and optimization run outside all locks.
+func (s *System) resolvePlan(st *templateState, res *RunResult, inst optimizer.Instance, values []float64) (*executor.CompiledPlan, error) {
+	if entry := s.ownedPlan(st, res.PlanID); entry != nil {
+		if cost, err := entry.rebind.Recost(s.opt, values); err == nil {
+			res.EstimatedCost = cost
+			res.Fingerprint = entry.plan.Fingerprint
+			// Refresh the executed plan's recency. Touch (rather than Get)
+			// leaves an id a concurrent insertion has just evicted alone
+			// instead of recording a spurious cache miss.
+			s.cacheMu.Lock()
+			s.cache.Touch(res.PlanID)
+			s.cacheMu.Unlock()
+			s.cacheObs.CountHit()
+			return entry.prog, nil
+		}
+	}
+	// The predicted plan was evicted from the cache (or was unusable):
+	// optimize afresh — a cache miss despite a possibly correct prediction.
+	t1 := time.Now()
+	plan, oerr := s.opt.OptimizeMemo(s.memoFor(st), inst.Values)
+	if oerr != nil {
+		return nil, &PipelineError{Stage: "optimize", Template: res.Template, Err: oerr}
+	}
+	res.OptimizeTime += time.Since(t1)
+	res.Invoked = true
+	res.CacheHit = false
+	id, fresh, err := s.internPlan(st, plan)
+	if err != nil {
+		return nil, err
+	}
+	res.PlanID = id
+	res.Fingerprint = plan.Fingerprint
+	// OptimizeMemo costs the plan at these values already.
+	res.EstimatedCost = plan.Cost
+	// No recency refresh here: internPlan just Put the plan, which already
+	// made it the cache's most recent entry.
+	s.cacheObs.CountMiss()
+	return fresh.prog, nil
+}
+
+// ownedPlan returns the cache entry for id when it belongs to st, else nil:
+// a plan of another template (a garbled prediction that happens to
+// resolve) must never serve here.
+func (s *System) ownedPlan(st *templateState, id int) *cachedPlan {
 	s.cacheMu.RLock()
-	entry, ok := s.planByID[res.PlanID]
+	entry := s.planByID[id]
 	s.cacheMu.RUnlock()
-	// A plan belonging to another template (a garbled prediction that
-	// happens to resolve) must never execute here — treat it as a miss.
-	if ok && entry.owner != st {
-		ok = false
+	if entry == nil || entry.owner != st {
+		return nil
 	}
-	var bound *optimizer.Plan
-	var prog *executor.CompiledPlan
-	if ok {
-		if entry.rebind != nil && entry.prog != nil {
-			// Fast hit: bind the parameter slots and re-cost in place — no
-			// tree copy. The cached (template-bound) tree stands in for the
-			// bound plan; it is never executed, entry.prog is.
-			cost, rerr := entry.rebind.Recost(s.opt, values)
-			if rerr != nil {
-				ok = false
-			} else {
-				bound = entry.plan
-				prog = entry.prog
-				res.EstimatedCost = cost
-			}
-		} else {
-			rb, rerr := s.opt.Recost(st.tmpl.Query, entry.plan, values)
-			if rerr != nil {
-				// The cached tree is unusable for this template: treat it as
-				// a miss and re-optimize rather than failing the query.
-				ok = false
-			} else {
-				bound = rb
-				res.EstimatedCost = rb.Cost
-			}
-		}
+	return entry
+}
+
+// compilePlan builds the cache entry for one of st's plans: the plan plus
+// its executor program and rebind program. It is the only constructor of
+// cachedPlan, so every entry serves through the compiled engine. A plan
+// the compilers reject is a *PipelineError of stage "compile".
+func (s *System) compilePlan(st *templateState, plan *optimizer.Plan) (*cachedPlan, error) {
+	prog, err := s.exec.Compile(plan, st.tmpl.Query)
+	if err != nil {
+		return nil, &PipelineError{Stage: "compile", Template: st.tmpl.Name, Err: err}
 	}
-	if ok {
-		res.Fingerprint = entry.plan.Fingerprint
-		// Refresh the executed plan's recency. Touch (rather than Get)
-		// leaves an id a concurrent insertion has just evicted alone
-		// instead of recording a spurious cache miss.
-		s.cacheMu.Lock()
-		s.cache.Touch(res.PlanID)
-		s.cacheMu.Unlock()
-		s.cacheObs.CountHit()
-	} else {
-		// The predicted plan's tree was evicted from the cache (or was
-		// unusable): optimize afresh — a cache miss despite a possibly
-		// correct prediction.
-		t1 := time.Now()
-		plan, oerr := s.opt.OptimizeMemo(s.memoFor(st), inst.Values)
-		if oerr != nil {
-			return nil, nil, &PipelineError{Stage: "optimize", Template: res.Template, Err: oerr}
-		}
-		res.OptimizeTime += time.Since(t1)
-		res.Invoked = true
-		res.CacheHit = false
-		var fresh *cachedPlan
-		res.PlanID, fresh = s.internPlan(st, plan)
-		// OptimizeMemo binds the plan at these values already.
-		bound = plan
-		prog = fresh.prog
-		res.Fingerprint = plan.Fingerprint
-		res.EstimatedCost = plan.Cost
-		// No recency refresh here: internPlan just Put the plan, which
-		// already made it the cache's most recent entry.
-		s.cacheObs.CountMiss()
+	rb, err := s.opt.CompileRebind(st.tmpl.Query, plan)
+	if err != nil {
+		return nil, &PipelineError{Stage: "compile", Template: st.tmpl.Name, Err: err}
 	}
-	return bound, prog, nil
+	return &cachedPlan{owner: st, plan: plan, prog: prog, rebind: rb}, nil
 }
 
 // internPlan registers a fresh plan in the registry, index and cache, and
@@ -1326,22 +1308,15 @@ func (s *System) resolvePlan(st *templateState, res *RunResult, inst optimizer.I
 //
 // An id already cached for this template keeps its existing entry (the
 // trees are fingerprint-identical), so re-interning a plan on every audit
-// or degraded run never recompiles it. Fresh entries are compiled — into a
-// batched executor program and a rebind program — outside cacheMu; a plan
-// shape the compilers cannot express leaves the fields nil and serves
-// through the legacy paths.
-func (s *System) internPlan(st *templateState, plan *optimizer.Plan) (int, *cachedPlan) {
+// or degraded run never recompiles it. Fresh entries are compiled outside
+// cacheMu.
+func (s *System) internPlan(st *templateState, plan *optimizer.Plan) (int, *cachedPlan, error) {
 	id := s.reg.ID(plan.Fingerprint)
-	s.cacheMu.RLock()
-	entry, ok := s.planByID[id]
-	s.cacheMu.RUnlock()
-	if !ok || entry.owner != st {
-		entry = &cachedPlan{owner: st, plan: plan}
-		if prog, err := s.exec.Compile(plan, st.tmpl.Query); err == nil {
-			entry.prog = prog
-		}
-		if rb, err := s.opt.CompileRebind(st.tmpl.Query, plan); err == nil {
-			entry.rebind = rb
+	entry := s.ownedPlan(st, id)
+	if entry == nil {
+		var err error
+		if entry, err = s.compilePlan(st, plan); err != nil {
+			return 0, nil, err
 		}
 	}
 	s.cacheMu.Lock()
@@ -1352,7 +1327,7 @@ func (s *System) internPlan(st *templateState, plan *optimizer.Plan) (int, *cach
 		delete(s.planByID, evicted)
 		s.cacheObs.CountEviction()
 	}
-	return id, entry
+	return id, entry, nil
 }
 
 // Stats summarizes a template's learner state.
@@ -1657,7 +1632,10 @@ func (e *planEnv) Optimize(x []float64) (int, float64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	id, _ := e.sys.internPlan(e.st, plan)
+	id, _, err := e.sys.internPlan(e.st, plan)
+	if err != nil {
+		return 0, 0, err
+	}
 	if e.st.candidateHas(plan.Fingerprint) {
 		e.st.obs.CountCandidateKept()
 	}
@@ -1687,12 +1665,10 @@ func (e *runEnv) ExecuteCost(x []float64, planID int) (float64, error) {
 }
 
 // ExecuteCost implements core.Environment: the execution cost of a given
-// (possibly stale) plan at x, via plan rebinding and recosting.
+// (possibly stale) plan at x, re-costed in O(params) by its rebind program.
 func (e *planEnv) ExecuteCost(x []float64, planID int) (float64, error) {
-	e.sys.cacheMu.RLock()
-	entry, ok := e.sys.planByID[planID]
-	e.sys.cacheMu.RUnlock()
-	if !ok || entry.owner != e.st {
+	entry := e.sys.ownedPlan(e.st, planID)
+	if entry == nil {
 		// Plan fell out of the cache, or belongs to another template (a
 		// garbled prediction); behave like a severe cost surprise so the
 		// learner re-optimizes.
@@ -1702,16 +1678,5 @@ func (e *planEnv) ExecuteCost(x []float64, planID int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Every cache-hit learner step lands here: prefer the O(params) rebind
-	// program over the deep-copy Recost.
-	if entry.rebind != nil {
-		if cost, err := entry.rebind.Recost(e.sys.opt, inst.Values); err == nil {
-			return cost, nil
-		}
-	}
-	re, err := e.sys.opt.Recost(e.tmpl.Query, entry.plan, inst.Values)
-	if err != nil {
-		return 0, err
-	}
-	return re.Cost, nil
+	return entry.rebind.Recost(e.sys.opt, inst.Values)
 }

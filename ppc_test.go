@@ -39,8 +39,24 @@ func TestOpenAndRegister(t *testing.T) {
 	if err := sys.Register("Q0", "SELECT COUNT(*) FROM lineitem"); err == nil {
 		t.Error("duplicate registration should fail")
 	}
-	if err := sys.Register("bad", "not sql"); err == nil {
-		t.Error("bad SQL should fail")
+	for _, sql := range []string{
+		"not sql",
+		// Shapes the compiled executor cannot answer are rejected up front.
+		"SELECT MIN(p.p_brand) FROM part p WHERE p.p_date <= ? AND p.p_size <= ?",
+		"SELECT COUNT(*) FROM part p, customer c WHERE p.p_brand = c.c_custkey AND p.p_date <= ? AND c.c_date <= ?",
+		"SELECT COUNT(*) FROM part p WHERE p.p_brand <= ? AND p.p_date <= ?",
+		"SELECT COUNT(*) FROM part p WHERE p.p_size = 'abc' AND p.p_date <= ?",
+	} {
+		if err := sys.Register("bad", sql); err == nil {
+			t.Errorf("bad SQL should fail: %s", sql)
+		}
+	}
+	// COUNT over a string column counts rows and is served.
+	if err := sys.Register("countstr", "SELECT COUNT(p.p_brand) FROM part p WHERE p.p_date <= ? AND p.p_size <= ?"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run("countstr", []float64{1000, 25}); err != nil {
+		t.Error(err)
 	}
 	if _, err := sys.Template("Q3"); err != nil {
 		t.Error(err)
