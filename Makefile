@@ -19,12 +19,13 @@ PROFILE_DIR ?= profiles
 # bookkeeping inflates allocation counts, so the guards skip themselves
 # under -race). TestServingPathZeroAlloc holds predict/insert/WAL-append at
 # exactly zero allocs; TestRunPathAllocBudget holds the full batched Run
-# path under its 500 allocs/op budget.
+# path under its 500 allocs/op budget; TestCompiledExecAllocs holds a warm
+# compiled Exec to the result's own allocations (<= 3/op).
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget' -count=1 .
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestCompiledExecAllocs' -count=1 . ./internal/executor
 
 build:
 	$(GO) build ./...

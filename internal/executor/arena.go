@@ -8,37 +8,32 @@ import (
 	"repro/internal/tpch"
 )
 
-// batchSize is the number of candidate rows a scan filters per mask pass.
-// 1024 int32 row ids plus the bool mask fit comfortably in L1 while keeping
-// the per-batch loop overhead negligible against per-row work; it matches
-// the batch sizes vectorized engines converge on for the same reason.
-const batchSize = 1024
-
 // Arena is the per-execution scratch of one CompiledPlan: tuple selection
-// vectors, the batch filter mask, join hash tables and sort permutations,
-// and aggregation accumulators. Arenas are checked out of the plan's
-// sync.Pool for the duration of one Exec, so concurrent executions never
-// share one; all slices retain their capacity across executions, which is
-// what drives steady-state allocations toward zero.
+// vectors, the join and group hash table, sort permutations, and
+// aggregation accumulators. Arenas are checked out of the plan's sync.Pool
+// for the duration of one Exec, so concurrent executions never share one;
+// all slices retain their capacity across executions, which is what drives
+// steady-state allocations toward zero.
 //
-// Join and sort scratch is shared by every join in the plan rather than
-// allocated per operator: execution is strictly sequential bottom-up, and a
-// join's hash table or permutation is dead once the join has produced its
-// output vectors, so the next join can reuse the same buffers.
+// Join, sort and grouping scratch is shared by every operator in the plan
+// rather than allocated per operator: execution is strictly sequential
+// bottom-up, and a join's hash table or permutation is dead once the join
+// has produced its output vectors, so the next join (or the root
+// aggregation) can reuse the same buffers.
 type Arena struct {
 	// vecs holds one row-id vector per compile-time slot. A node's output
 	// tuple t is the cross-section vecs[slot][t] over the node's slots (one
 	// slot per base relation, late materialization).
 	vecs [][]int32
-	// mask is the batch filter mask, batchSize wide.
-	mask []bool
+	// inner is the index-nested-loop join's per-probe candidate vector.
+	inner []int32
 
 	// Hash join scratch: chained hash tables in insertion order. The table
 	// entry packs head<<32|tail of the bucket's chain through next. Numeric
-	// keys go through the open-addressed htN (a Go map spends most of the
+	// keys go through the open-addressed ht (a Go map spends most of the
 	// probe in hashing and bucket dispatch); string keys keep a Go map.
 	next []int32
-	htN  f64HT
+	ht   u64HT
 	htS  map[string]int64
 
 	// Merge join scratch: one stable sort permutation and key cache per
@@ -49,13 +44,12 @@ type Arena struct {
 	keysA  []float64
 	keysB  []float64
 
-	// Aggregation scratch: group index keyed by the encoded group key, the
-	// key encoding buffer, first-seen group keys, and flat accumulators
-	// (counts per group; sums/mins/maxs per group x spec). groupsN is the
-	// single-numeric-column fast path: keyed on the raw float bits, which is
-	// exactly the byte encoding groups would see, minus the encoding.
+	// Aggregation scratch: first-seen group keys and flat accumulators
+	// (counts per group; sums/mins/maxs per group x spec). A single numeric
+	// group column is looked up in ht on its raw float bits; string and
+	// multi-column keys go through groups, keyed by the byte encoding in
+	// keyBuf.
 	groups    map[string]int32
-	groupsN   map[uint64]int32
 	keyBuf    []byte
 	groupKeys []Value
 	counts    []float64
@@ -66,92 +60,79 @@ type Arena struct {
 
 // newArena sizes an arena for one compiled plan.
 func newArena(cp *CompiledPlan) *Arena {
-	ar := &Arena{
-		vecs: make([][]int32, cp.nSlots),
-		mask: make([]bool, batchSize),
-	}
+	ar := &Arena{vecs: make([][]int32, cp.nSlots)}
 	if cp.needHTStr {
 		ar.htS = make(map[string]int64)
 	}
-	if cp.agg != nil {
-		if cp.agg.numKey() {
-			ar.groupsN = make(map[uint64]int32)
-		} else {
-			ar.groups = make(map[string]int32)
-		}
+	if cp.agg != nil && len(cp.agg.groupCols) > 0 && !cp.agg.numKey() {
+		ar.groups = make(map[string]int32)
 	}
 	return ar
 }
 
-// f64HT is the numeric hash-join table: open addressing with linear
-// probing over power-of-two slots, keyed by float equality (so, like the
-// row engine's map, NaN keys insert distinct buckets and never match a
-// probe, and ±0 share one bucket via normalization at the call sites).
-// ents packs head<<32|tail of the bucket's chain; -1 marks an empty slot.
-type f64HT struct {
-	keys  []float64
-	ents  []int64
+// u64HT is the executor's one hash table: open addressing with linear
+// probing over power-of-two slots, keyed on raw uint64 bits. Hash joins
+// store a packed chain entry (head<<32|tail) under joinKey's bits, GROUP
+// BY a group index under the key's float bits; -1 marks an empty slot.
+type u64HT struct {
+	keys  []uint64
+	vals  []int64
 	shift uint
 }
 
-// f64HashK scrambles the key bits; the high bits index the table.
-const f64HashK = 0x9e3779b97f4a7c15
+// hashK scrambles the key bits; the high bits index the table.
+const hashK = 0x9e3779b97f4a7c15
 
-// reset sizes the table for n build rows at load factor <= 1/2 and marks
-// every slot empty. Capacity is retained across executions.
-func (t *f64HT) reset(n int) {
+// reset sizes the table for n keys at load factor <= 1/2 and marks every
+// slot empty. Capacity is retained across executions.
+func (t *u64HT) reset(n int) {
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	if size > cap(t.ents) {
-		t.keys = make([]float64, size)
-		t.ents = make([]int64, size)
+	if size > cap(t.vals) {
+		t.keys = make([]uint64, size)
+		t.vals = make([]int64, size)
 	} else {
 		t.keys = t.keys[:size]
-		t.ents = t.ents[:size]
+		t.vals = t.vals[:size]
 	}
-	for i := range t.ents {
-		t.ents[i] = -1
+	for i := range t.vals {
+		t.vals[i] = -1
 	}
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
-// insert adds build row i under key k, appending to the key's chain (in
-// insertion order) through next.
-func (t *f64HT) insert(k float64, i int32, next []int32) {
-	mask := uint64(len(t.ents) - 1)
-	j := (math.Float64bits(k) * f64HashK) >> t.shift
-	for {
-		e := t.ents[j]
-		if e < 0 {
-			t.keys[j] = k
-			t.ents[j] = int64(i)<<32 | int64(i)
-			return
-		}
-		if t.keys[j] == k {
-			next[e&0xffffffff] = i
-			t.ents[j] = e&^0xffffffff | int64(i)
-			return
-		}
-		j = (j + 1) & mask
+// slot returns the index of k's slot: the one holding k, or else the empty
+// slot where k belongs.
+func (t *u64HT) slot(k uint64) int {
+	last := uint64(len(t.vals) - 1)
+	j := (k * hashK) >> t.shift
+	for t.vals[j] >= 0 && t.keys[j] != k {
+		j = (j + 1) & last
 	}
+	return int(j)
 }
 
-// lookup returns the packed chain entry for k, or -1.
-func (t *f64HT) lookup(k float64) int64 {
-	mask := uint64(len(t.ents) - 1)
-	j := (math.Float64bits(k) * f64HashK) >> t.shift
-	for {
-		e := t.ents[j]
-		if e < 0 {
-			return -1
-		}
-		if t.keys[j] == k {
-			return e
-		}
-		j = (j + 1) & mask
+// joinKey maps a numeric join key to its table key under float equality:
+// -0 takes the bits of +0, and a NaN key, which equals nothing, reports
+// false and is neither built nor probed.
+func joinKey(f float64) (uint64, bool) {
+	if f == 0 {
+		f = 0
 	}
+	return math.Float64bits(f), f == f
+}
+
+// link appends build row i to the chain packed in e (-1: a new chain) and
+// returns the updated entry.
+func link(e int64, i int32, next []int32) int64 {
+	next[i] = -1
+	if e < 0 {
+		return int64(i)<<32 | int64(i)
+	}
+	next[e&0xffffffff] = i
+	return e&^0xffffffff | int64(i)
 }
 
 // chain ensures the hash-join chain array has n entries.
@@ -199,13 +180,61 @@ func (ar *Arena) stableSortPerm(perm []int32, keys []float64) {
 // resetAgg clears the aggregation scratch for a fresh grouping pass.
 func (ar *Arena) resetAgg() {
 	clear(ar.groups)
-	clear(ar.groupsN)
 	ar.keyBuf = ar.keyBuf[:0]
 	ar.groupKeys = ar.groupKeys[:0]
 	ar.counts = ar.counts[:0]
 	ar.sums = ar.sums[:0]
 	ar.mins = ar.mins[:0]
 	ar.maxs = ar.maxs[:0]
+}
+
+// addGroup appends a fresh accumulator set and returns its group index.
+func (ar *Arena) addGroup(nS int) int32 {
+	g := int32(len(ar.counts))
+	ar.counts = append(ar.counts, 0)
+	for s := 0; s < nS; s++ {
+		ar.sums = append(ar.sums, 0)
+		ar.mins = append(ar.mins, math.Inf(1))
+		ar.maxs = append(ar.maxs, math.Inf(-1))
+	}
+	return g
+}
+
+// fold adds v to accumulator i's sum, min and max.
+func (ar *Arena) fold(i int, v float64) {
+	ar.sums[i] += v
+	if v < ar.mins[i] {
+		ar.mins[i] = v
+	}
+	if v > ar.maxs[i] {
+		ar.maxs[i] = v
+	}
+}
+
+// numGroup returns the group of a single numeric group key, adding one on
+// first sight. ht holds the key's raw float bits, which is the row
+// engine's byte encoding without the encoding; it is rebuilt from
+// groupKeys, twice as large, whenever it would pass half full.
+func (ar *Arena) numGroup(kv float64, nS int) int32 {
+	ht := &ar.ht
+	k := math.Float64bits(kv)
+	j := ht.slot(k)
+	if g := ht.vals[j]; g >= 0 {
+		return int32(g)
+	}
+	g := ar.addGroup(nS)
+	ar.groupKeys = append(ar.groupKeys, Value{Num: kv})
+	if 2*len(ar.groupKeys) > len(ht.vals) {
+		ht.reset(len(ar.groupKeys))
+		for i, key := range ar.groupKeys {
+			k := math.Float64bits(key.Num)
+			j := ht.slot(k)
+			ht.keys[j], ht.vals[j] = k, int64(i)
+		}
+		return g
+	}
+	ht.keys[j], ht.vals[j] = k, int64(g)
+	return g
 }
 
 // typedEq compares one column value from each side of a join with full type

@@ -33,7 +33,6 @@ type CompiledPlan struct {
 	nParams int
 
 	nSlots    int
-	needHTNum bool
 	needHTStr bool
 
 	pool sync.Pool
@@ -94,9 +93,9 @@ type cAgg struct {
 	outSchema Schema
 }
 
-// numKey reports whether grouping can use the single-numeric-column fast
-// path: the raw float bits are then the group key, sidestepping the byte
-// encoding (bit equality matches the encoded-key equality exactly).
+// numKey reports whether grouping can key the arena's hash table on one
+// numeric column's raw float bits, sidestepping the byte encoding (bit
+// equality matches the encoded-key equality exactly).
 func (a *cAgg) numKey() bool {
 	return len(a.groupCols) == 1 && a.groupCols[0].col.Kind != tpch.KindString
 }
@@ -146,7 +145,8 @@ func (p *cPred) rhs(params []float64) float64 {
 // the template's parameter layout so literal slots can be bound per
 // execution; a nil q compiles every literal as baked (plans outside a
 // template, e.g. hand-built test plans). Unsupported shapes return an
-// error; the plan is left untouched and remains executable by Run.
+// error and leave the plan untouched; the serving layer reports that error
+// as a typed compile failure, since there is no other engine to serve it.
 func (e *Executor) Compile(plan *optimizer.Plan, q *optimizer.Query) (*CompiledPlan, error) {
 	if plan == nil || plan.Root == nil {
 		return nil, fmt.Errorf("executor: nil plan")
@@ -286,8 +286,6 @@ func (c *compiler) join(n *optimizer.Node) (*cNode, error) {
 			cn.buildLeft = n.BuildLeft
 			if cn.strKey {
 				c.cp.needHTStr = true
-			} else {
-				c.cp.needHTNum = true
 			}
 		case optimizer.OpMergeJoin:
 			if cn.strKey {

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -12,8 +13,9 @@ import (
 
 // assertSameResult requires bit-identical output from the compiled engine
 // and the tree-walk engine: same schema, same row order, same cell values
-// (including float bit patterns — the compiled operators are written to
-// accumulate in the exact order the tree-walk engine does).
+// (including float bit patterns, so NaN equals an identical NaN and -0
+// differs from +0 — the compiled operators are written to accumulate in
+// the exact order the tree-walk engine does).
 func assertSameResult(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	if len(got.Schema) != len(want.Schema) {
@@ -29,8 +31,9 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 	}
 	for i := range want.Rows {
 		for j := range want.Rows[i] {
-			if got.Rows[i][j] != want.Rows[i][j] {
-				t.Fatalf("%s: row %d col %d = %v, want %v", label, i, j, got.Rows[i][j], want.Rows[i][j])
+			g, w := got.Rows[i][j], want.Rows[i][j]
+			if g.IsStr != w.IsStr || g.Str != w.Str || math.Float64bits(g.Num) != math.Float64bits(w.Num) {
+				t.Fatalf("%s: row %d col %d = %v, want %v", label, i, j, g, w)
 			}
 		}
 	}
@@ -188,11 +191,11 @@ func fuzzQuery(rng *rand.Rand) string {
 }
 
 // TestCompiledMatchesTreeWalkFuzzed drives both engines over fuzzer-
-// generated predicate sets. Queries the compiler cannot express fall back
-// in production (nil program -> tree-walk), so a compile error here only
-// skips the comparison; the test fails if the compiler rejects most of the
-// generated population, which would mean the fast path silently stopped
-// covering the workload.
+// generated predicate sets. A query the compiler cannot express is refused
+// in production with a typed compile error (there is no fallback engine),
+// so a compile error here only skips the comparison; the test fails if the
+// compiler rejects most of the generated population, which would mean the
+// compiled engine silently stopped covering the workload.
 func TestCompiledMatchesTreeWalkFuzzed(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	const trials = 60
@@ -213,7 +216,7 @@ func TestCompiledMatchesTreeWalkFuzzed(t *testing.T) {
 		}
 		cp, err := exec.Compile(plan, q)
 		if err != nil {
-			continue // inexpressible shape: production falls back to tree-walk
+			continue // inexpressible shape: production reports a compile error
 		}
 		compiled++
 		got, err := cp.Exec(nil)

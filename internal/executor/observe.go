@@ -6,12 +6,7 @@
 // back to template predicate sites for the adaptive statistics layer.
 package executor
 
-import (
-	"fmt"
-
-	"repro/internal/faults"
-	"repro/internal/optimizer"
-)
+import "repro/internal/optimizer"
 
 // CardObservation is one executed operator's observed cardinality.
 type CardObservation struct {
@@ -37,23 +32,7 @@ type CardObservation struct {
 // capacity) in bottom-up order. The harvest reads vector lengths the run
 // already produced; it adds no per-row work.
 func (cp *CompiledPlan) ExecObserve(params []float64, obs []CardObservation) (*Result, []CardObservation, error) {
-	if err := cp.exec.faults.Fail(faults.ExecutorError); err != nil {
-		return nil, obs, fmt.Errorf("executor: %w", err)
-	}
-	if len(params) != cp.nParams {
-		return nil, obs, fmt.Errorf("executor: got %d parameters, want %d", len(params), cp.nParams)
-	}
-	ar := cp.pool.Get().(*Arena)
-	cp.run(cp.root, ar, params)
-	obs = harvest(cp.root, ar, params, obs)
-	var res *Result
-	if cp.agg != nil {
-		res = cp.materializeAgg(ar)
-	} else {
-		res = cp.materialize(ar)
-	}
-	cp.pool.Put(ar)
-	return res, obs, nil
+	return cp.execute(params, obs, true)
 }
 
 func harvest(n *cNode, ar *Arena, params []float64, obs []CardObservation) []CardObservation {
@@ -65,10 +44,7 @@ func harvest(n *cNode, ar *Arena, params []float64, obs []CardObservation) []Car
 	o := CardObservation{Node: n.lineage, Rows: float64(len(ar.vecs[n.slots[0]]))}
 	switch n.op {
 	case optimizer.OpIndexScan:
-		o.Lo, o.Hi = n.lo, n.hi
-		for _, d := range n.derive {
-			o.Lo, o.Hi = optimizer.SargBoundsFor(d.Op, params[d.ParamIdx])
-		}
+		o.Lo, o.Hi = n.bounds(params)
 	case optimizer.OpHashJoin, optimizer.OpMergeJoin, optimizer.OpNLJoin:
 		o.LeftRows = float64(len(ar.vecs[n.left.slots[0]]))
 		o.RightRows = float64(len(ar.vecs[n.right.slots[0]]))

@@ -1,10 +1,9 @@
 // Compiled plan execution. Operators consume and produce int32 selection
-// vectors held in the arena; scans filter candidate row ids through the
-// shared batch mask in fixed-size chunks with one columnar pass per
-// predicate; joins emit matched (left, right) tuple pairs by appending to
-// the join's output vectors; rows are materialized exactly once, into the
-// final Result (two allocations: the Value backing array and the Row
-// headers).
+// vectors held in the arena; scans fill a vector with candidate row ids
+// and refine it in place, one branch-free compaction pass per predicate;
+// joins emit matched (left, right) tuple pairs by appending to the join's
+// output vectors; rows are materialized exactly once, into the final Result
+// (two allocations: the Value backing array and the Row headers).
 package executor
 
 import (
@@ -21,14 +20,25 @@ import (
 // nothing with the arena (the Schema is shared with the plan and must be
 // treated as read-only).
 func (cp *CompiledPlan) Exec(params []float64) (*Result, error) {
+	res, _, err := cp.execute(params, nil, false)
+	return res, err
+}
+
+// execute runs the plan once on a pooled arena and materializes the
+// result; with observe set it first harvests per-operator cardinalities
+// into obs.
+func (cp *CompiledPlan) execute(params []float64, obs []CardObservation, observe bool) (*Result, []CardObservation, error) {
 	if err := cp.exec.faults.Fail(faults.ExecutorError); err != nil {
-		return nil, fmt.Errorf("executor: %w", err)
+		return nil, obs, fmt.Errorf("executor: %w", err)
 	}
 	if len(params) != cp.nParams {
-		return nil, fmt.Errorf("executor: got %d parameters, want %d", len(params), cp.nParams)
+		return nil, obs, fmt.Errorf("executor: got %d parameters, want %d", len(params), cp.nParams)
 	}
 	ar := cp.pool.Get().(*Arena)
 	cp.run(cp.root, ar, params)
+	if observe {
+		obs = harvest(cp.root, ar, params, obs)
+	}
 	var res *Result
 	if cp.agg != nil {
 		res = cp.materializeAgg(ar)
@@ -36,7 +46,7 @@ func (cp *CompiledPlan) Exec(params []float64) (*Result, error) {
 		res = cp.materialize(ar)
 	}
 	cp.pool.Put(ar)
-	return res, nil
+	return res, obs, nil
 }
 
 func (cp *CompiledPlan) run(n *cNode, ar *Arena, params []float64) {
@@ -81,197 +91,104 @@ func (p *cPred) testRow(params []float64, id int32) bool {
 	return false
 }
 
-func (n *cNode) runSeqScan(ar *Arena, params []float64) {
-	out := ar.vecs[n.slots[0]][:0]
-	total := int32(n.table.NumRows())
-	if len(n.filters) == 0 {
-		for id := int32(0); id < total; id++ {
-			out = append(out, id)
-		}
-		ar.vecs[n.slots[0]] = out
-		return
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, which keeps refine's compaction loops branch-free.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	mask := ar.mask
-	for base := int32(0); base < total; base += batchSize {
-		m := total - base
-		if m > batchSize {
-			m = batchSize
-		}
-		for j := int32(0); j < m; j++ {
-			mask[j] = true
-		}
-		for fi := range n.filters {
-			n.filters[fi].filterContig(params, mask, base, m)
-		}
-		for j := int32(0); j < m; j++ {
-			if mask[j] {
-				out = append(out, base+j)
-			}
-		}
-	}
-	ar.vecs[n.slots[0]] = out
+	return 0
 }
 
-// filterContig clears mask[j] for every row base+j (j < m) failing the
-// predicate, with the per-op comparison hoisted out of the row loop so the
-// hot numeric filters run call- and switch-free. The negated comparison
-// forms keep the row engine's NaN behaviour (a NaN column value fails
-// every comparison, and passes BETWEEN via its !(v < lo || v > hi) form).
-func (p *cPred) filterContig(params []float64, mask []bool, base, m int32) {
+// refine compacts the row ids in sel that pass the predicate to the front
+// of sel, in order, and returns that prefix. Every row id is stored and the
+// write position advances only on a pass, so the hot numeric loops carry no
+// data-dependent branch. The comparisons keep the row engine's NaN
+// behaviour: a NaN column value fails every comparison and passes BETWEEN,
+// which rejects only values below lo or above hi.
+func (p *cPred) refine(params []float64, sel []int32) []int32 {
+	k := 0
+	nums := p.col.Nums
 	switch p.kind {
 	case optimizer.PredCmpNum:
-		nums := p.col.Nums[base : base+m]
 		v := p.rhs(params)
 		switch p.op {
 		case optimizer.OpEq:
-			for j, x := range nums {
-				if !(x == v) {
-					mask[j] = false
-				}
+			for _, id := range sel {
+				sel[k] = id
+				k += b2i(nums[id] == v)
 			}
 		case optimizer.OpLE:
-			for j, x := range nums {
-				if !(x <= v) {
-					mask[j] = false
-				}
+			for _, id := range sel {
+				sel[k] = id
+				k += b2i(nums[id] <= v)
 			}
 		case optimizer.OpGE:
-			for j, x := range nums {
-				if !(x >= v) {
-					mask[j] = false
-				}
+			for _, id := range sel {
+				sel[k] = id
+				k += b2i(nums[id] >= v)
 			}
 		case optimizer.OpLT:
-			for j, x := range nums {
-				if !(x < v) {
-					mask[j] = false
-				}
+			for _, id := range sel {
+				sel[k] = id
+				k += b2i(nums[id] < v)
 			}
 		case optimizer.OpGT:
-			for j, x := range nums {
-				if !(x > v) {
-					mask[j] = false
-				}
-			}
-		}
-	case optimizer.PredCmpStr:
-		strs := p.col.Strs[base : base+m]
-		for j, s := range strs {
-			if s != p.strValue {
-				mask[j] = false
+			for _, id := range sel {
+				sel[k] = id
+				k += b2i(nums[id] > v)
 			}
 		}
 	case optimizer.PredBetween:
-		nums := p.col.Nums[base : base+m]
-		for j, x := range nums {
-			if x < p.lo || x > p.hi {
-				mask[j] = false
-			}
+		for _, id := range sel {
+			x := nums[id]
+			sel[k] = id
+			k += b2i(!(x < p.lo)) & b2i(!(x > p.hi))
 		}
 	default:
-		for j := int32(0); j < m; j++ {
-			if mask[j] && !p.testRow(params, base+j) {
-				mask[j] = false
-			}
+		for _, id := range sel {
+			sel[k] = id
+			k += b2i(p.testRow(params, id))
 		}
 	}
+	return sel[:k]
 }
 
-func (n *cNode) runIndexScan(ar *Arena, params []float64) {
-	lo, hi := n.lo, n.hi
-	// Parameter-driven bounds re-derive exactly as Recost's rebind does;
-	// later derivations win, matching the rebind order over q.Preds.
+// refineAll narrows sel through every predicate in filters.
+func refineAll(filters []cPred, params []float64, sel []int32) []int32 {
+	for i := range filters {
+		sel = filters[i].refine(params, sel)
+	}
+	return sel
+}
+
+func (n *cNode) runSeqScan(ar *Arena, params []float64) {
+	total := n.table.NumRows()
+	sel := ar.vecs[n.slots[0]]
+	if cap(sel) < total {
+		sel = make([]int32, total)
+	}
+	sel = sel[:total]
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	ar.vecs[n.slots[0]] = refineAll(n.filters, params, sel)
+}
+
+// bounds returns the index scan's effective key range for params.
+// Parameter-driven bounds re-derive exactly as Recost's rebind does; later
+// derivations win, matching the rebind order over q.Preds.
+func (n *cNode) bounds(params []float64) (lo, hi float64) {
+	lo, hi = n.lo, n.hi
 	for _, d := range n.derive {
 		lo, hi = optimizer.SargBoundsFor(d.Op, params[d.ParamIdx])
 	}
-	cands := n.index.RangeRows(lo, hi)
-	out := ar.vecs[n.slots[0]][:0]
-	if len(n.filters) == 0 {
-		out = append(out, cands...)
-		ar.vecs[n.slots[0]] = out
-		return
-	}
-	mask := ar.mask
-	for base := 0; base < len(cands); base += batchSize {
-		chunk := cands[base:]
-		if len(chunk) > batchSize {
-			chunk = chunk[:batchSize]
-		}
-		for j := range chunk {
-			mask[j] = true
-		}
-		for fi := range n.filters {
-			n.filters[fi].filterGather(params, mask, chunk)
-		}
-		for j, id := range chunk {
-			if mask[j] {
-				out = append(out, id)
-			}
-		}
-	}
-	ar.vecs[n.slots[0]] = out
+	return lo, hi
 }
 
-// filterGather is filterContig over a gathered id chunk (index scan
-// candidates are arbitrary row ids, not a contiguous range).
-func (p *cPred) filterGather(params []float64, mask []bool, ids []int32) {
-	switch p.kind {
-	case optimizer.PredCmpNum:
-		nums := p.col.Nums
-		v := p.rhs(params)
-		switch p.op {
-		case optimizer.OpEq:
-			for j, id := range ids {
-				if !(nums[id] == v) {
-					mask[j] = false
-				}
-			}
-		case optimizer.OpLE:
-			for j, id := range ids {
-				if !(nums[id] <= v) {
-					mask[j] = false
-				}
-			}
-		case optimizer.OpGE:
-			for j, id := range ids {
-				if !(nums[id] >= v) {
-					mask[j] = false
-				}
-			}
-		case optimizer.OpLT:
-			for j, id := range ids {
-				if !(nums[id] < v) {
-					mask[j] = false
-				}
-			}
-		case optimizer.OpGT:
-			for j, id := range ids {
-				if !(nums[id] > v) {
-					mask[j] = false
-				}
-			}
-		}
-	case optimizer.PredCmpStr:
-		strs := p.col.Strs
-		for j, id := range ids {
-			if strs[id] != p.strValue {
-				mask[j] = false
-			}
-		}
-	case optimizer.PredBetween:
-		nums := p.col.Nums
-		for j, id := range ids {
-			if nums[id] < p.lo || nums[id] > p.hi {
-				mask[j] = false
-			}
-		}
-	default:
-		for j, id := range ids {
-			if mask[j] && !p.testRow(params, id) {
-				mask[j] = false
-			}
-		}
-	}
+func (n *cNode) runIndexScan(ar *Arena, params []float64) {
+	sel := append(ar.vecs[n.slots[0]][:0], n.index.RangeRows(n.bounds(params))...)
+	ar.vecs[n.slots[0]] = refineAll(n.filters, params, sel)
 }
 
 // evalJoinFilters evaluates the compiled join-level filters against a
@@ -347,47 +264,40 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 		clear(ht)
 		keys := buildKey.Strs
 		for i, id := range buildVec {
-			next[i] = -1
-			k := keys[id]
-			if he, ok := ht[k]; ok {
-				next[int32(he&0xffffffff)] = int32(i)
-				ht[k] = he&^0xffffffff | int64(i)
-			} else {
-				ht[k] = int64(i)<<32 | int64(i)
+			he, ok := ht[keys[id]]
+			if !ok {
+				he = -1
 			}
+			ht[keys[id]] = link(he, int32(i), next)
 		}
 		pkeys := probeKey.Strs
 		for pi, id := range probeVec {
-			he, ok := ht[pkeys[id]]
-			if !ok {
-				continue
+			if he, ok := ht[pkeys[id]]; ok {
+				n.probeChain(ar, params, next, he, int32(pi))
 			}
-			n.probeChain(ar, params, next, he, int32(pi))
 		}
 		return
 	}
-	ht := &ar.htN
+	ht := &ar.ht
 	ht.reset(len(buildVec))
 	keys := buildKey.Nums
 	for i, id := range buildVec {
-		next[i] = -1
-		k := keys[id]
-		if k == 0 {
-			k = 0 // normalize -0 so ±0 share a bucket, as map keys do
+		k, ok := joinKey(keys[id])
+		if !ok {
+			continue
 		}
-		ht.insert(k, int32(i), next)
+		j := ht.slot(k)
+		ht.keys[j], ht.vals[j] = k, link(ht.vals[j], int32(i), next)
 	}
 	pkeys := probeKey.Nums
 	for pi, id := range probeVec {
-		k := pkeys[id]
-		if k == 0 {
-			k = 0
-		}
-		he := ht.lookup(k)
-		if he < 0 {
+		k, ok := joinKey(pkeys[id])
+		if !ok {
 			continue
 		}
-		n.probeChain(ar, params, next, he, int32(pi))
+		if he := ht.vals[ht.slot(k)]; he >= 0 {
+			n.probeChain(ar, params, next, he, int32(pi))
+		}
 	}
 }
 
@@ -454,21 +364,13 @@ func (n *cNode) runIndexNLJoin(ar *Arena, params []float64) {
 	keys := n.leftKey.Nums
 	for li := range lvec {
 		v := keys[lvec[li]]
-		for _, ri := range n.index.RangeRows(v, v) {
-			ok := true
-			for fi := range n.innerFilters {
-				if !n.innerFilters[fi].testRow(params, ri) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
+		inner := refineAll(n.innerFilters, params, append(ar.inner[:0], n.index.RangeRows(v, v)...))
+		for _, ri := range inner {
 			if evalJoinFilters(n.joinFilters, params, ar, int32(li), ri, true) {
 				n.emit(ar, int32(li), ri, true)
 			}
 		}
+		ar.inner = inner
 	}
 }
 
@@ -511,108 +413,85 @@ func (cp *CompiledPlan) materialize(ar *Arena) *Result {
 	return &Result{Schema: cp.schema, Rows: rows}
 }
 
-// materializeAgg groups the root's tuples through the arena accumulators
-// and materializes the aggregate rows, replicating the row engine's
-// grouping (first-seen order, byte-encoded keys) and accumulation
-// (identical float addition order) so results stay bit-identical.
+// materializeAgg folds the root's tuples into the arena accumulators and
+// materializes the aggregate rows, replicating the row engine's grouping
+// (first-seen order; keys equal when their encodings are, so -0 and +0 are
+// distinct groups and a NaN groups with its own bit pattern) and its
+// accumulation (identical float addition order) so results stay
+// bit-identical.
 func (cp *CompiledPlan) materializeAgg(ar *Arena) *Result {
 	agg := cp.agg
-	child := cp.root
-	nt := len(ar.vecs[child.slots[0]])
+	nt := len(ar.vecs[cp.root.slots[0]])
 	nS := len(agg.specs)
 	nK := len(agg.groupCols)
 	ar.resetAgg()
-	if agg.numKey() {
-		// Single numeric group column: the raw float bits are the group key
-		// (identical equality — and so identical first-seen group order — to
-		// the byte-encoded key the general path builds).
-		gc := &agg.groupCols[0]
-		gvec := ar.vecs[gc.slot]
-		nums := gc.col.Nums
-		for t := 0; t < nt; t++ {
-			kv := nums[gvec[t]]
-			g, ok := ar.groupsN[math.Float64bits(kv)]
-			if !ok {
-				g = int32(len(ar.counts))
-				ar.groupsN[math.Float64bits(kv)] = g
-				ar.groupKeys = append(ar.groupKeys, Value{Num: kv})
-				ar.counts = append(ar.counts, 0)
-				for s := 0; s < nS; s++ {
-					ar.sums = append(ar.sums, 0)
-					ar.mins = append(ar.mins, math.Inf(1))
-					ar.maxs = append(ar.maxs, math.Inf(-1))
-				}
-			}
-			ar.counts[g]++
-			base := int(g) * nS
-			for s := range agg.specs {
-				sp := &agg.specs[s]
-				if sp.slot < 0 {
-					continue
-				}
-				v := sp.col.Nums[ar.vecs[sp.slot][t]]
-				ar.sums[base+s] += v
-				if v < ar.mins[base+s] {
-					ar.mins[base+s] = v
-				}
-				if v > ar.maxs[base+s] {
-					ar.maxs[base+s] = v
-				}
-			}
-		}
-		return cp.aggRows(ar, nS, nK)
-	}
-	for t := 0; t < nt; t++ {
-		kb := ar.keyBuf[:0]
-		for gi := range agg.groupCols {
-			gc := &agg.groupCols[gi]
-			id := ar.vecs[gc.slot][t]
-			if gc.col.Kind == tpch.KindString {
-				kb = append(kb, gc.col.Strs[id]...)
-			} else {
-				kb = appendFloat(kb, gc.col.Nums[id])
-			}
-			kb = append(kb, 0)
-		}
-		ar.keyBuf = kb
-		g, ok := ar.groups[string(kb)]
-		if !ok {
-			g = int32(len(ar.counts))
-			ar.groups[string(kb)] = g
-			for gi := range agg.groupCols {
-				gc := &agg.groupCols[gi]
-				id := ar.vecs[gc.slot][t]
-				if gc.col.Kind == tpch.KindString {
-					ar.groupKeys = append(ar.groupKeys, Value{Str: gc.col.Strs[id], IsStr: true})
-				} else {
-					ar.groupKeys = append(ar.groupKeys, Value{Num: gc.col.Nums[id]})
-				}
-			}
-			ar.counts = append(ar.counts, 0)
-			for s := 0; s < nS; s++ {
-				ar.sums = append(ar.sums, 0)
-				ar.mins = append(ar.mins, math.Inf(1))
-				ar.maxs = append(ar.maxs, math.Inf(-1))
-			}
-		}
-		ar.counts[g]++
-		base := int(g) * nS
+	switch {
+	case nK == 0 && nt > 0:
+		// A global aggregate has one group: no key, no lookup. Each spec
+		// folds its column straight down the root vector, in tuple order.
+		// (Over zero tuples no case folds anything, and aggRows answers as
+		// the row engine does.)
+		ar.addGroup(nS)
+		ar.counts[0] = float64(nt)
 		for s := range agg.specs {
 			sp := &agg.specs[s]
 			if sp.slot < 0 {
 				continue
 			}
-			v := sp.col.Nums[ar.vecs[sp.slot][t]]
-			ar.sums[base+s] += v
-			if v < ar.mins[base+s] {
-				ar.mins[base+s] = v
+			for _, id := range ar.vecs[sp.slot] {
+				ar.fold(s, sp.col.Nums[id])
 			}
-			if v > ar.maxs[base+s] {
-				ar.maxs[base+s] = v
+		}
+	case agg.numKey():
+		gc := &agg.groupCols[0]
+		ar.ht.reset(0)
+		for t, id := range ar.vecs[gc.slot] {
+			cp.accumulate(ar, ar.numGroup(gc.col.Nums[id], nS), t)
+		}
+	default:
+		for t := 0; t < nt; t++ {
+			kb := ar.keyBuf[:0]
+			for gi := range agg.groupCols {
+				gc := &agg.groupCols[gi]
+				id := ar.vecs[gc.slot][t]
+				if gc.col.Kind == tpch.KindString {
+					kb = append(kb, gc.col.Strs[id]...)
+				} else {
+					kb = appendFloat(kb, gc.col.Nums[id])
+				}
+				kb = append(kb, 0)
 			}
+			ar.keyBuf = kb
+			g, ok := ar.groups[string(kb)]
+			if !ok {
+				g = ar.addGroup(nS)
+				ar.groups[string(kb)] = g
+				for gi := range agg.groupCols {
+					gc := &agg.groupCols[gi]
+					id := ar.vecs[gc.slot][t]
+					if gc.col.Kind == tpch.KindString {
+						ar.groupKeys = append(ar.groupKeys, Value{Str: gc.col.Strs[id], IsStr: true})
+					} else {
+						ar.groupKeys = append(ar.groupKeys, Value{Num: gc.col.Nums[id]})
+					}
+				}
+			}
+			cp.accumulate(ar, g, t)
 		}
 	}
 	return cp.aggRows(ar, nS, nK)
+}
+
+// accumulate folds root tuple t into group g's accumulators.
+func (cp *CompiledPlan) accumulate(ar *Arena, g int32, t int) {
+	ar.counts[g]++
+	base := int(g) * len(cp.agg.specs)
+	for s := range cp.agg.specs {
+		sp := &cp.agg.specs[s]
+		if sp.slot >= 0 {
+			ar.fold(base+s, sp.col.Nums[ar.vecs[sp.slot][t]])
+		}
+	}
 }
 
 // aggRows materializes the grouped accumulators into the final rows (or
