@@ -50,15 +50,17 @@ crash:
 	$(GO) test -race -run 'TestDurable|TestCrashRecovery|TestDegrade' -v .
 	$(GO) test -race -run TestKillRestartRecovery -v ./cmd/ppcserve
 
-# Short fuzz smoke over every decoder that reads crash-shaped bytes: the
+# Short fuzz smoke over every decoder that reads crash-shaped bytes — the
 # WAL frame decoder, the WAL directory scanner/repairer, the snapshot
-# envelope, and the optional state-tail sections (corrections + retune). Go
-# runs one fuzz target per invocation, hence four runs.
+# envelope, and the optional state-tail sections (corrections + retune) —
+# and over the log-apply path that shipped records take into a replica. Go
+# runs one fuzz target per invocation, hence one run per target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzStateTailDecode -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzApplyRecords -fuzztime $(FUZZTIME) ./internal/replica
 
 # The replication suite, bottom up: wire protocol and torn/corrupt frames,
 # WAL tailing, leader/replica servers under fault injection (epoch fencing,

@@ -138,7 +138,6 @@ func (s *System) openDurable() error {
 	}
 	s.wal = log
 	s.walPending = make(map[string][]wal.Record)
-	s.corrPending = make(map[string][]stats.CorrRecord)
 
 	// Load the latest checkpoint. A missing file is a first boot; an
 	// unreadable or corrupt one degrades to cold learners (LoadState's
@@ -176,66 +175,29 @@ func (s *System) openDurable() error {
 
 	// Replay the tail. Records are globally ordered by sequence number;
 	// grouping by template preserves each learner's relative order, which
-	// is the only order that matters (learners share no state). Feedback and
-	// retune records stay interleaved within a template's stream — a retune
-	// record is a barrier, and replayRecords flushes the feedback batch at
-	// each one so the rebuilt synopsis matches the leader's bit for bit.
-	// Correction records ride the same log under their own kind and replay
-	// into the template's correction state rather than its learner
-	// (order-independent: they carry absolute post-update state).
-	byTemplate := make(map[string][]wal.Record)
-	corrByTemplate := make(map[string][]stats.CorrRecord)
-	for _, r := range recov.Records {
-		if r.Kind == wal.RecordCorrection {
-			corrByTemplate[r.Template] = append(corrByTemplate[r.Template], stats.CorrRecord{
-				Seq:   r.Seq,
-				Epoch: r.CorrEpoch,
-				Site:  int(r.Site),
-				LogC:  r.LogC,
-				N:     r.N,
-				Ref:   r.Ref,
-			})
-			continue
-		}
-		byTemplate[r.Template] = append(byTemplate[r.Template], r)
+	// is the only order that matters (learners share no state). Every
+	// record starts out pending; each registered template then replays its
+	// own stream. Records of a template the checkpoint does not know (first
+	// boot, or a corrupt checkpoint) stay pending until Register. Each
+	// stream is sized up front: records are large and the tail can hold
+	// tens of thousands, so growing the slices would dominate the split.
+	perTemplate := make(map[string]int)
+	for i := range recov.Records {
+		perTemplate[recov.Records[i].Template]++
 	}
-	s.regMu.RLock()
-	states := make(map[string]*templateState, len(s.templates))
-	for n, st := range s.templates {
-		states[n] = st
-	}
-	s.regMu.RUnlock()
-	for name, recs := range byTemplate {
-		st := states[name]
-		if st == nil {
-			// The checkpoint does not know this template (first boot, or a
-			// corrupt checkpoint). Hold the records until Register.
-			s.walPending[name] = recs
-			report.WALPending += len(recs)
-			continue
+	for i := range recov.Records {
+		r := &recov.Records[i]
+		if s.walPending[r.Template] == nil {
+			s.walPending[r.Template] = make([]wal.Record, 0, perTemplate[r.Template])
 		}
-		applied, skipped, stale := replayRecords(st.online, recs)
-		st.obs.SetRetuneEpoch(st.online.RetuneEpoch())
-		report.WALReplayed += applied
-		report.WALSkipped += skipped
-		report.WALStale += stale
+		s.walPending[r.Template] = append(s.walPending[r.Template], *r)
 	}
-	for name, recs := range corrByTemplate {
-		st := states[name]
-		if st == nil || st.online.Corrections() == nil {
-			s.corrPending[name] = recs
-			report.WALPending += len(recs)
-			continue
-		}
-		corr := st.online.Corrections()
-		for _, rec := range recs {
-			if corr.Replay(rec) {
-				report.WALReplayed++
-			} else {
-				report.WALSkipped++
-			}
-		}
+	report.WALPending = len(recov.Records)
+	s.regMu.Lock()
+	for name, st := range s.templates {
+		s.replayPendingLocked(name, st)
 	}
+	s.regMu.Unlock()
 	// Every learner — checkpoint-restored or registered later — gets its
 	// WAL sink in registerLocked (s.wal is already set when LoadState
 	// re-registers the saved templates above).
@@ -253,97 +215,30 @@ func (s *System) openDurable() error {
 	return nil
 }
 
-// replayRecords replays one template's ordered WAL record stream — feedback
-// and retune records interleaved in log order — into its learner. Feedback
-// accumulates into batches flushed at each retune record, preserving the
-// leader's insert/retune interleaving (the retune rebuilds the synopsis
-// from its reservoir, so a point applied on the wrong side of it would land
-// in the wrong mapping). Malformed retune payloads are counted stale.
-func replayRecords(o *core.Online, recs []wal.Record) (applied, skipped, stale int) {
-	batch := make([]core.Feedback, 0, len(recs))
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		a, sk, stl := o.ReplayBatch(batch)
-		applied += a
-		skipped += sk
-		stale += stl
-		batch = batch[:0]
-	}
-	for _, r := range recs {
-		if r.Kind == wal.RecordRetune {
-			flush()
-			warps, err := core.WarpsFromFlat(int(r.WarpT), int(r.WarpS), int(r.WarpK), r.Warps)
-			if err != nil {
-				stale++
-				continue
-			}
-			if o.ReplayRetune(r.Seq, r.RetuneEpoch, warps) {
-				applied++
-			} else {
-				skipped++
-			}
-			continue
-		}
-		batch = append(batch, core.Feedback{
-			Point:       r.Point,
-			Plan:        int(r.Plan),
-			Cost:        r.Cost,
-			SelfLabeled: r.SelfLabeled,
-			Epoch:       r.Epoch,
-			Seq:         r.Seq,
-		})
-	}
-	flush()
-	return applied, skipped, stale
-}
-
-// replayPendingLocked applies WAL records held for a template that was not
-// in the checkpoint. Feedback records whose dimensionality disagrees with
-// the registered template are counted stale rather than applied (the
-// template changed shape between crash and restart). Callers hold s.regMu.
+// replayPendingLocked applies a template's pending WAL records — feedback,
+// retune and correction records interleaved in log order — through
+// core.Online.ApplyLog, the same apply path replicas use, and moves their
+// count from WALPending into the replay counters. ApplyLog counts records
+// that no longer fit the template (it changed shape between crash and
+// restart) as stale. Callers hold s.regMu.
 func (s *System) replayPendingLocked(name string, st *templateState) {
 	recs := s.walPending[name]
-	if len(recs) == 0 && len(s.corrPending[name]) == 0 {
+	if len(recs) == 0 {
 		return
 	}
 	t0 := time.Now()
 	delete(s.walPending, name)
-	dims := st.tmpl.Degree()
-	kept := recs[:0]
-	mismatched := 0
-	for _, r := range recs {
-		if r.Kind != wal.RecordRetune && len(r.Point) != dims {
-			mismatched++
-			continue
-		}
-		kept = append(kept, r)
-	}
-	applied, skipped, stale := replayRecords(st.online, kept)
+	applied, skipped, stale := st.online.ApplyLog(recs)
 	st.obs.SetRetuneEpoch(st.online.RetuneEpoch())
-	corrRecs := s.corrPending[name]
-	delete(s.corrPending, name)
-	corrApplied, corrSkipped := 0, 0
-	if corr := st.online.Corrections(); corr != nil {
-		for _, rec := range corrRecs {
-			if corr.Replay(rec) {
-				corrApplied++
-			} else {
-				corrSkipped++
-			}
-		}
-	} else {
-		corrSkipped = len(corrRecs)
-	}
 	s.loadMu.Lock()
 	if r := s.lastLoad; r != nil {
-		r.WALPending -= len(recs) + len(corrRecs)
-		r.WALReplayed += applied + corrApplied
-		r.WALSkipped += skipped + corrSkipped
-		r.WALStale += stale + mismatched
-		// Pending replay is recovery work deferred to registration time;
-		// fold it into the recovery wall clock so the report stays honest.
+		r.WALPending -= len(recs)
+		r.WALReplayed += applied
+		r.WALSkipped += skipped
+		r.WALStale += stale
+		// Pending replay after Open is recovery work deferred to
+		// registration time; fold it into the recovery wall clock so the
+		// report stays honest.
 		r.RecoveryDuration += time.Since(t0)
 	}
 	s.loadMu.Unlock()

@@ -3,10 +3,14 @@ package core
 // Replica-side construction and the shared predict-only entry point. A
 // predict-only replica holds the same Online driver as the leader but never
 // calls Step: it installs shipped EncodeState bytes, applies shipped WAL
-// records through ReplayBatch, and serves predictions from the published
-// snapshot. Because both sides decode the identical state bytes and apply
-// the identical record stream, a replica's PredictModel output is
-// bit-identical to the leader's for the same snapshot epoch.
+// records through ApplyLog — the apply path crash recovery uses too — and
+// serves predictions from the published snapshot. Because both sides decode
+// the identical state bytes and apply the identical record stream, a
+// replica's PredictModel output is bit-identical to the leader's for the
+// same snapshot epoch. ApplyLog counts a shipped record that does not fit
+// the learner (wrong point dimensionality, wrong warp grid shape) as stale
+// and skips corrections when none were shipped, so no record can corrupt or
+// crash the replica.
 
 import (
 	"encoding/binary"

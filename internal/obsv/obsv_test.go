@@ -16,11 +16,11 @@ func TestBucketIndex(t *testing.T) {
 	}{
 		{0, 0},
 		{999 * time.Nanosecond, 0},
-		{time.Microsecond, 1},          // us=1 -> Len64(1)=1
-		{2 * time.Microsecond, 2},      // [2,4) us
+		{time.Microsecond, 1},     // us=1 -> Len64(1)=1
+		{2 * time.Microsecond, 2}, // [2,4) us
 		{3 * time.Microsecond, 2},
-		{1024 * time.Microsecond, 11},  // [1024,2048) us
-		{time.Hour, histBuckets - 1},   // overflow
+		{1024 * time.Microsecond, 11}, // [1024,2048) us
+		{time.Hour, histBuckets - 1},  // overflow
 	}
 	for _, c := range cases {
 		if got := bucketIndex(c.d.Nanoseconds()); got != c.want {

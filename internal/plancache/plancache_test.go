@@ -159,7 +159,7 @@ func TestStatsLifetimeCounters(t *testing.T) {
 	c.Put(1, "a")
 	c.Put(2, "b")
 	c.Get(1)
-	c.Get(7) // miss
+	c.Get(7)      // miss
 	c.Put(3, "c") // evicts
 	st := c.Stats()
 	want := Stats{Len: 2, Capacity: 2, Hits: 1, Misses: 1, Puts: 3, Evictions: 1}

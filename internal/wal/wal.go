@@ -932,10 +932,10 @@ func (l *Log) observer() Observer {
 
 type noopObserver struct{}
 
-func (noopObserver) WALAppend(int)            {}
-func (noopObserver) WALAppendError()          {}
-func (noopObserver) WALSync(time.Duration)    {}
-func (noopObserver) WALSyncError()            {}
-func (noopObserver) WALRotate()               {}
-func (noopObserver) WALCompact(int)           {}
-func (noopObserver) WALTearDropped()          {}
+func (noopObserver) WALAppend(int)         {}
+func (noopObserver) WALAppendError()       {}
+func (noopObserver) WALSync(time.Duration) {}
+func (noopObserver) WALSyncError()         {}
+func (noopObserver) WALRotate()            {}
+func (noopObserver) WALCompact(int)        {}
+func (noopObserver) WALTearDropped()       {}

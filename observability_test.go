@@ -31,11 +31,11 @@ func sqlFor(t *testing.T, name string) string {
 // runTally accumulates RunResult ground truth for comparison against a
 // CounterSnapshot.
 type runTally struct {
-	runs, cacheHits, predicted, nulls       uint64
-	invoked, random, feedback, drift        uint64
-	degraded, degradedByError               uint64
-	predictObs, executed                    uint64
-	last                                    *RunResult
+	runs, cacheHits, predicted, nulls uint64
+	invoked, random, feedback, drift  uint64
+	degraded, degradedByError         uint64
+	predictObs, executed              uint64
+	last                              *RunResult
 }
 
 func (c *runTally) add(res *RunResult) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sort"
 	"time"
 
 	"repro/internal/optimizer"
@@ -132,51 +133,25 @@ func (s *System) LoadStateReport() *LoadReport {
 }
 
 // SaveState writes the system's learned state to w in the framed,
-// checksummed snapshot format.
-//
-// Under the snapshot architecture a save of a live system is per-template
-// consistent, not globally atomic: each template's feedback mailbox is
-// flushed — so every point already acknowledged by Run is in the synopsis —
-// and its learner is then encoded under the learner's write lock while
-// other templates keep serving. The plan registry is append-only with dense
-// ids, so collecting its fingerprints AFTER the learners guarantees every
-// plan id referenced by a synopsis is present in the saved registry; a plan
-// id whose tree is missing from the saved cache simply re-optimizes on
+// checksummed snapshot format. The learners and the plan fingerprint table
+// come from encodeLearners (see its doc for the consistency argument); a
+// plan id whose tree is missing from the saved cache simply re-optimizes on
 // demand after restore, exactly like an evicted plan.
 func (s *System) SaveState(w io.Writer) (err error) {
 	defer capturePanic("ppc.SaveState", &err)
 	out := savedSystem{DBScale: s.opts.TPCH.Scale, DBSeed: s.opts.TPCH.Seed}
-	s.regMu.RLock()
-	names := s.templateNamesLocked()
-	states := make([]*templateState, len(names))
-	for i, name := range names {
-		states[i] = s.templates[name]
-	}
-	s.regMu.RUnlock()
-	for i, name := range names {
-		st := states[i]
-		var buf bytes.Buffer
-		st.flush()
-		encErr := st.online.EncodeState(&buf)
-		if encErr != nil {
-			return &SnapshotError{Op: "save", Err: fmt.Errorf("template %s: %w", name, encErr)}
-		}
+	out.Fingerprints, err = s.encodeLearners(func(name string, st *templateState, learner []byte) {
 		st.candMu.RLock()
 		candFPs := append([]string(nil), st.candFPs...)
 		candEpoch := st.candEpoch
 		st.candMu.RUnlock()
 		out.Templates = append(out.Templates, savedTemplate{
-			Name: name, SQL: st.tmpl.SQL, Learner: buf.Bytes(),
+			Name: name, SQL: st.tmpl.SQL, Learner: learner,
 			CandFPs: candFPs, CandEpoch: candEpoch,
 		})
-	}
-	// Registry fingerprints come after the learners (see doc comment).
-	for id := 0; ; id++ {
-		fp := s.reg.Fingerprint(id)
-		if fp == "" {
-			break
-		}
-		out.Fingerprints = append(out.Fingerprints, fp)
+	})
+	if err != nil {
+		return &SnapshotError{Op: "save", Err: err}
 	}
 	s.cacheMu.RLock()
 	for id, entry := range s.planByID {
@@ -412,20 +387,42 @@ func (s *System) recreateLearnerLocked(name string) error {
 	return s.registerLocked(name, sql)
 }
 
-// templateNamesLocked returns sorted template names; callers hold s.regMu.
-func (s *System) templateNamesLocked() []string {
+// encodeLearners collects the learned state a checkpoint and a replica
+// snapshot both carry: for every registered template, in name order, it
+// flushes the feedback mailbox — so every point already acknowledged by Run
+// is in the synopsis — encodes the learner under its write lock (other
+// templates keep serving) and hands the bytes to visit. It then returns the
+// plan fingerprint table. The result is per-template consistent, not
+// globally atomic. The plan registry is append-only with dense ids, so
+// reading it AFTER the learners guarantees every plan id a synopsis
+// references has a fingerprint.
+func (s *System) encodeLearners(visit func(name string, st *templateState, state []byte)) ([]string, error) {
+	s.regMu.RLock()
 	names := make([]string, 0, len(s.templates))
 	for n := range s.templates {
 		names = append(names, n)
 	}
-	sortStrings(names)
-	return names
-}
-
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+	sort.Strings(names)
+	states := make([]*templateState, len(names))
+	for i, name := range names {
+		states[i] = s.templates[name]
+	}
+	s.regMu.RUnlock()
+	for i, name := range names {
+		st := states[i]
+		st.flush()
+		var buf bytes.Buffer
+		if err := st.online.EncodeState(&buf); err != nil {
+			return nil, fmt.Errorf("template %s: %w", name, err)
 		}
+		visit(name, st, buf.Bytes())
+	}
+	var fps []string
+	for id := 0; ; id++ {
+		fp := s.reg.Fingerprint(id)
+		if fp == "" {
+			return fps, nil
+		}
+		fps = append(fps, fp)
 	}
 }

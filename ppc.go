@@ -246,15 +246,12 @@ type System struct {
 
 	// Durability layer (nil/zero when Options.Durability.Dir is empty).
 	// wal is the shared feedback log; walObs its metrics; walPending holds
-	// recovered records (feedback and retune, interleaved in log order) for
+	// recovered records of every kind, interleaved in log order, for
 	// templates the checkpoint did not contain, keyed by template name and
 	// guarded by regMu (consumed at registration).
 	wal        *wal.Log
 	walObs     *obsv.WALObs
 	walPending map[string][]wal.Record
-	// corrPending holds recovered correction records for templates the
-	// checkpoint did not contain, symmetric with walPending.
-	corrPending map[string][]stats.CorrRecord
 	// checkpointMu serializes Checkpoint calls (they share one temp file).
 	// checkpointStop/Done bracket the background checkpointer goroutine.
 	checkpointMu   sync.Mutex

@@ -7,7 +7,6 @@ package ppc
 // bytes a checkpoint writes. Nothing here runs on the serving path.
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -93,30 +92,12 @@ func (s *System) ReplicationSnapshot() (*netproto.Snapshot, error) {
 	}
 	baseSeq := s.checkpointMinSeq()
 
-	s.regMu.RLock()
-	names := s.templateNamesLocked()
-	states := make([]*templateState, len(names))
-	for i, name := range names {
-		states[i] = s.templates[name]
-	}
-	s.regMu.RUnlock()
-
 	snap := &netproto.Snapshot{Epoch: epoch, BaseSeq: baseSeq}
-	for i, name := range names {
-		st := states[i]
-		st.flush()
-		var buf bytes.Buffer
-		if err := st.online.EncodeState(&buf); err != nil {
-			return nil, fmt.Errorf("ppc: encode template %s for shipping: %w", name, err)
-		}
-		snap.Templates = append(snap.Templates, netproto.TemplateState{Name: name, State: buf.Bytes()})
-	}
-	for id := 0; ; id++ {
-		fp := s.reg.Fingerprint(id)
-		if fp == "" {
-			break
-		}
-		snap.Fingerprints = append(snap.Fingerprints, fp)
+	snap.Fingerprints, err = s.encodeLearners(func(name string, _ *templateState, state []byte) {
+		snap.Templates = append(snap.Templates, netproto.TemplateState{Name: name, State: state})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ppc: encode for shipping: %w", err)
 	}
 	return snap, nil
 }
