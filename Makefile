@@ -14,14 +14,15 @@ BENCH_OUT  ?= BENCH_PR10.json
 # Where `make profile` drops its pprof output.
 PROFILE_DIR ?= profiles
 
-# The gate: build, vet, the full test suite under the race detector, and the
-# allocation guards (a separate non-race invocation: the race runtime's
+# The gate: formatting (any file `gofmt -l` lists fails it), build, vet,
+# the full test suite under the race detector, and the allocation guards (a separate non-race invocation: the race runtime's
 # bookkeeping inflates allocation counts, so the guards skip themselves
 # under -race). TestServingPathZeroAlloc holds predict/insert/WAL-append at
 # exactly zero allocs; TestRunPathAllocBudget holds the full batched Run
 # path under its 500 allocs/op budget; TestCompiledExecAllocs holds a warm
 # compiled Exec to the result's own allocations (<= 3/op).
 tier1:
+	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then echo "gofmt -l lists unformatted files:"; echo "$$files"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -51,10 +52,13 @@ crash:
 	$(GO) test -race -run TestKillRestartRecovery -v ./cmd/ppcserve
 
 # Short fuzz smoke over every decoder that reads crash-shaped bytes — the
-# WAL frame decoder, the WAL directory scanner/repairer, the snapshot
-# envelope, and the optional state-tail sections (corrections + retune) —
-# and over the log-apply path that shipped records take into a replica. Go
-# runs one fuzz target per invocation, hence one run per target.
+# WAL frame decoder, the WAL directory scanner/repairer, the system state
+# codec (FuzzSnapshotDecode: the envelope, then the fuzzed body under a
+# valid frame through the section, learner and plan-tree decoders, seeded
+# from a trained, re-tuned template), and the whole learner state stream
+# (FuzzStateTailDecode: predictor, counters, corrections and retune
+# sections) — and over the log-apply path that shipped records take into a
+# replica. Go runs one fuzz target per invocation, hence one run per target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
@@ -63,13 +67,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzApplyRecords -fuzztime $(FUZZTIME) ./internal/replica
 
 # The replication suite, bottom up: wire protocol and torn/corrupt frames,
-# WAL tailing, leader/replica servers under fault injection (epoch fencing,
+# the state codec that snapshots ship in, WAL tailing, leader/replica servers under fault injection (epoch fencing,
 # admission, chaos), the client library, the in-process System-level
 # contracts, and finally the process-boundary failover test — leader under
 # load, replica attached, leader SIGKILLed and restarted — against the real
 # ppcserve and ppcreplica binaries.
 replication:
-	$(GO) test -race ./internal/netproto ./internal/replica ./pkg/client
+	$(GO) test -race ./internal/netproto ./internal/snapshot ./internal/replica ./pkg/client
 	$(GO) test -race -run 'TestReplication|TestLeaderReplica|TestLeaderRestart' -v .
 	$(GO) test -race -run TestLeaderReplicaFailover -v ./cmd/ppcreplica
 

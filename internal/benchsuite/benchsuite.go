@@ -41,11 +41,12 @@ var runTemplates = []string{"Q0", "Q1", "Q2", "Q3"}
 // --- Predictor microbenchmark substrate ------------------------------------
 
 var (
-	predOnce  sync.Once
-	predErr   error
-	predEnv   *experiments.Env
-	predHist  *core.ApproxLSHHist
-	predTests [][]float64
+	predOnce    sync.Once
+	predErr     error
+	predEnv     *experiments.Env
+	predHist    *core.ApproxLSHHist
+	predSamples []cluster.Sample
+	predTests   [][]float64
 )
 
 // predictorEnv trains the LSH+histogram predictor once on the paper's
@@ -68,6 +69,7 @@ func predictorEnv(b *testing.B) (*core.ApproxLSHHist, [][]float64) {
 		}
 		cfg := core.Config{Dims: tmpl.Degree(), Radius: 0.05, Gamma: 0.7, NoiseElimination: true, Seed: 5}
 		predHist = core.MustNewApproxLSHHist(cfg)
+		predSamples = samples
 		for _, s := range samples {
 			predHist.Insert(s)
 		}

@@ -8,13 +8,13 @@ package benchsuite
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/replica"
 )
 
@@ -25,23 +25,28 @@ var (
 )
 
 // replicaPredictEnv ships the predictor-microbenchmark state through the
-// replication encoding: the same trained Q1 synopsis PredictApproxLSHHist
-// measures, encoded as a checkpoint (predictor bytes + counter trailer) and
-// decoded into a predict-only replica driver. Using identical state keeps
-// the three predict benchmarks — raw predictor, leader model snapshot,
-// replica — directly comparable in one report.
+// replication encoding: a leader driver learns the same Q1 samples the
+// PredictApproxLSHHist predictor was trained on, and its EncodeState bytes
+// are decoded into a predict-only replica driver. Using identical state
+// keeps the three predict benchmarks — raw predictor, leader model
+// snapshot, replica — directly comparable in one report.
 func replicaPredictEnv(b *testing.B) (*core.Online, [][]float64) {
 	b.Helper()
 	hist, tests := predictorEnv(b)
 	replicaOnce.Do(func() {
-		var buf bytes.Buffer
-		if err := hist.Encode(&buf); err != nil {
+		oracle := experiments.NewOracle(predEnv, predEnv.Templates["Q1"])
+		leader, err := core.NewOnline(core.OnlineConfig{Core: hist.Config()}, oracle)
+		if err != nil {
 			replicaErr = err
 			return
 		}
-		// EncodeState trailer: validated, self-labeled, epoch, applied seq.
-		trailer := [4]int64{int64(hist.TotalPoints()), 0, 0, 0}
-		if err := binary.Write(&buf, binary.LittleEndian, trailer[:]); err != nil {
+		batch := make([]core.Feedback, len(predSamples))
+		for i, s := range predSamples {
+			batch[i] = core.Feedback{Point: s.Point, Plan: s.Plan, Cost: s.Cost}
+		}
+		leader.ApplyBatch(batch)
+		var buf bytes.Buffer
+		if err := leader.EncodeState(&buf); err != nil {
 			replicaErr = err
 			return
 		}

@@ -190,7 +190,7 @@ func NewApproxLSHHist(cfg Config) (*ApproxLSHHist, error) {
 }
 
 // initTuning arms the tunable-LSH machinery for a predictor whose config
-// enables it (or whose restored state did, see restoreRetune).
+// enables it (or whose restored state did, see decodeRetune).
 func (p *ApproxLSHHist) initTuning(cfg Config) {
 	p.tuner = lsh.NewTuner(cfg.Transforms, cfg.OutDims)
 	p.retuneEvery = cfg.RetuneEvery

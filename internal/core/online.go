@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -795,102 +793,3 @@ func (o *Online) SelfLabeled() int { return int(o.selfLabeled.Load()) }
 
 // Validated returns how many optimizer-validated points were inserted.
 func (o *Online) Validated() int { return int(o.validated.Load()) }
-
-// EncodeState persists the driver's learned state (the histogram synopsis,
-// insertion counters, drift epoch and WAL watermark) to w. The sliding
-// estimator windows are deliberately not persisted — after a restart the
-// framework re-estimates precision from fresh predictions. Callers that
-// feed the driver through an asynchronous sink must drain it first so
-// queued feedback is included.
-//
-// The trailer is [4]int64{validated, selfLabeled, epoch, appliedSeq}.
-// Epoch and appliedSeq make a checkpoint self-describing for recovery: the
-// WAL replays only records past appliedSeq, interpreting their epochs
-// relative to the checkpoint's. Snapshots written by older builds carried
-// only the two insertion counters and fail to decode — the facade degrades
-// such templates to cold rather than guessing a watermark.
-func (o *Online) EncodeState(w io.Writer) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err := o.pred.Encode(w); err != nil {
-		return err
-	}
-	trailer := [4]int64{
-		o.validated.Load(), o.selfLabeled.Load(),
-		o.resets.Load(), int64(o.appliedSeq.Load()),
-	}
-	if err := binary.Write(w, binary.LittleEndian, trailer[:]); err != nil {
-		return err
-	}
-	// Optional correction section: present exactly when the adaptive
-	// statistics layer is attached. Decoders treat EOF here as "no
-	// corrections", which keeps pre-correction snapshots readable.
-	if o.corr != nil {
-		if err := o.corr.Encode(w); err != nil {
-			return err
-		}
-	}
-	// Optional retune section: present exactly when tunable LSH is (or was)
-	// active on this template. Same additivity contract as corrections.
-	if o.pred.hasTuningState() {
-		return o.pred.encodeRetune(w)
-	}
-	return nil
-}
-
-// DecodeState restores a driver state written by EncodeState and publishes
-// the restored model. The restored predictor must match this driver's plan
-// space dimensionality.
-func (o *Online) DecodeState(r io.Reader) error {
-	pred, err := DecodeApproxLSHHist(r)
-	if err != nil {
-		return err
-	}
-	if pred.Config().Dims != o.cfg.Core.Dims {
-		return fmt.Errorf("core: restored state has %d dims, driver expects %d",
-			pred.Config().Dims, o.cfg.Core.Dims)
-	}
-	var counters [4]int64
-	if err := binary.Read(r, binary.LittleEndian, counters[:]); err != nil {
-		return err
-	}
-	if counters[3] < 0 {
-		return fmt.Errorf("core: restored state has negative applied sequence %d", counters[3])
-	}
-	corrDec, retDec, err := decodeStateTail(r)
-	if err != nil {
-		return err
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.corr != nil {
-		// Adopt the optional correction section; a snapshot without one
-		// (pre-correction build, or adaptive stats off at save time) resets
-		// the corrections to cold rather than keeping unrelated state.
-		if err := o.corr.Adopt(corrDec); err != nil {
-			return err
-		}
-	}
-	if retDec != nil {
-		if err := pred.restoreRetune(retDec); err != nil {
-			return err
-		}
-	} else if o.cfg.Core.RetuneEvery > 0 {
-		// Snapshot predates tunable LSH (or it was off at save time) but the
-		// driver wants it on: arm the machinery cold with this driver's knobs
-		// on the restored predictor's shape.
-		c := pred.cfg
-		c.RetuneEvery = o.cfg.Core.RetuneEvery
-		c.RetuneReservoir = o.cfg.Core.RetuneReservoir
-		pred.cfg = c
-		pred.initTuning(c)
-	}
-	o.pred = pred
-	o.validated.Store(counters[0])
-	o.selfLabeled.Store(counters[1])
-	o.resets.Store(counters[2])
-	o.appliedSeq.Store(uint64(counters[3]))
-	o.est.Reset()
-	o.publishLocked()
-	return nil
-}

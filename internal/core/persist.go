@@ -1,203 +1,228 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
+	"math/rand"
 	"sort"
 
 	"repro/internal/histogram"
+	"repro/internal/metrics"
+	"repro/internal/snapshot"
+	"repro/internal/stats"
 )
 
 // Persistence of the learned synopses (Section IV-C histograms): a plan
 // cache that survives restarts keeps not only the plan trees but the plan
-// space knowledge that selects among them. The format stores the
-// predictor's configuration (the randomized transformations are
-// reconstructed deterministically from the seed) followed by every
-// (transform, plan) histogram and the per-transform marginals.
+// space knowledge that selects among them. An Online state stream
+// (EncodeState) is a run of internal/snapshot sections:
 //
-// Layout (little endian):
+//	"LSHH" predictor: u32 dims, outDims, transforms; i64 histBuckets;
+//	       f64 radius, gamma, noiseFraction; u8 noiseElim; i64 minSamples,
+//	       seed, total points; per transform: the marginal histogram, then
+//	       u32 plan count and per plan (ascending): i64 plan id, histogram
+//	"CNTR" counters: i64 validated, selfLabeled, drift epoch; u64 applied
+//	       WAL sequence
+//	"CORR" corrections (internal/stats), present when adaptive statistics
+//	       are attached
+//	"RTUN" tunable-LSH state (retune.go), present when tuning is or was
+//	       active
 //
-//	u8  version (2)
-//	u64 body length, u32 CRC-32C of body
-//	body:
-//	  config: i64 dims, outDims, transforms, histBuckets; f64 radius, gamma,
-//	          noiseFraction; u8 noiseElim; i64 minSamples, seed
-//	  i64 total points
-//	  u32 transform count; per transform:
-//	    marginal histogram
-//	    u32 plan count; per plan: i64 plan id, histogram
-//
-// Version 2 frames the body with its length and a CRC-32C checksum so a
-// truncated or bit-flipped synopsis is detected at load instead of being
-// deserialized into garbage histograms. Version-1 streams (unframed) are
-// still readable.
-const (
-	persistVersion       = 2
-	legacyPersistVersion = 1
-	// maxPersistBody bounds the declared body length so a corrupted header
-	// cannot trigger a giant allocation.
-	maxPersistBody = 1 << 30
+// The randomized transformations are not stored: they regenerate from the
+// seed, so restored predictions are bit-identical. The stream carries no
+// checksum of its own; it travels inside the CRC-framed system snapshot.
+var (
+	tagPredictor = snapshot.Tag("LSHH")
+	tagCounters  = snapshot.Tag("CNTR")
 )
 
-var persistCRC = crc32.MakeTable(crc32.Castagnoli)
+const (
+	// maxDims and maxTransforms cap the decoded predictor shape so a
+	// corrupt config cannot drive a large ensemble allocation (templates
+	// have at most 6 parameters, configurations use up to 11 transforms).
+	maxDims       = 32
+	maxTransforms = 256
+)
 
-// Encode writes the predictor's full state to w, framed with a length and
-// CRC-32C checksum.
-func (p *ApproxLSHHist) Encode(w io.Writer) error {
-	le := binary.LittleEndian
-	var body bytes.Buffer
-	if err := p.encodeBody(&body); err != nil {
-		return err
+// encode writes the predictor section.
+func (p *ApproxLSHHist) encode(w *snapshot.Writer) {
+	w.Section(tagPredictor, func(w *snapshot.Writer) {
+		c := p.cfg
+		w.U32(uint32(c.Dims))
+		w.U32(uint32(c.OutDims))
+		w.U32(uint32(c.Transforms))
+		w.I64(int64(c.HistBuckets))
+		w.F64s(c.Radius, c.Gamma, c.NoiseFraction)
+		w.Bool(c.NoiseElimination)
+		w.I64(int64(c.MinSamples))
+		w.I64(c.Seed)
+		w.I64(int64(p.total))
+		for i := range p.hists {
+			p.marginals[i].Encode(w)
+			plans := make([]int, 0, len(p.hists[i]))
+			for plan := range p.hists[i] {
+				plans = append(plans, plan)
+			}
+			sort.Ints(plans)
+			w.U32(uint32(len(plans)))
+			for _, plan := range plans {
+				w.I64(int64(plan))
+				p.hists[i][plan].Encode(w)
+			}
+		}
+	})
+}
+
+// decodePredictor reads the predictor section, recording any failure in r.
+func decodePredictor(r *snapshot.Reader) *ApproxLSHHist {
+	var p *ApproxLSHHist
+	r.Section(tagPredictor, func(r *snapshot.Reader) {
+		cfg := Config{
+			Dims: r.Count(maxDims), OutDims: r.Count(maxDims), Transforms: r.Count(maxTransforms),
+			HistBuckets: int(r.I64()), Radius: r.F64(), Gamma: r.F64(), NoiseFraction: r.F64(),
+			NoiseElimination: r.Bool(), MinSamples: int(r.I64()), Seed: r.I64(),
+		}
+		total := r.I64()
+		if r.Err() != nil {
+			return
+		}
+		if cfg.MinSamples == 0 {
+			cfg.MinSamples = -1 // preserve "disabled" through the 0-default
+		}
+		dec, err := NewApproxLSHHist(cfg)
+		if err != nil {
+			r.Failf("%v", err)
+			return
+		}
+		for i := range dec.hists {
+			dec.marginals[i] = histogram.DecodeDynamic(r)
+			for j, n := 0, r.Count(math.MaxInt32); j < n && r.Err() == nil; j++ {
+				plan := int(r.I64())
+				dec.hists[i][plan], dec.plans[plan] = histogram.DecodeDynamic(r), true
+			}
+		}
+		dec.total = int(total)
+		if r.Err() == nil {
+			p = dec
+		}
+	})
+	return p
+}
+
+// EncodeState persists the driver's learned state (the histogram synopsis,
+// insertion counters, drift epoch, WAL watermark, and the corrections and
+// retune sections when present) to w. The sliding estimator windows are
+// deliberately not persisted — after a restart the framework re-estimates
+// precision from fresh predictions. Callers that feed the driver through
+// an asynchronous sink must drain it first so queued feedback is included.
+//
+// Epoch and the applied sequence make a checkpoint self-describing for
+// recovery: the WAL replays only records past the applied sequence,
+// interpreting their epochs relative to the checkpoint's.
+func (o *Online) EncodeState(w io.Writer) error {
+	var sw snapshot.Writer
+	o.mu.Lock()
+	o.pred.encode(&sw)
+	sw.Section(tagCounters, func(w *snapshot.Writer) {
+		w.I64(o.validated.Load())
+		w.I64(o.selfLabeled.Load())
+		w.I64(o.resets.Load())
+		w.U64(o.appliedSeq.Load())
+	})
+	if o.corr != nil {
+		o.corr.Encode(&sw)
 	}
-	if err := binary.Write(w, le, uint8(persistVersion)); err != nil {
-		return err
+	if o.pred.hasTuningState() {
+		o.pred.encodeRetune(&sw)
 	}
-	if err := binary.Write(w, le, uint64(body.Len())); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, crc32.Checksum(body.Bytes(), persistCRC)); err != nil {
-		return err
-	}
-	_, err := w.Write(body.Bytes())
+	o.mu.Unlock()
+	_, err := w.Write(sw.Bytes())
 	return err
 }
 
-// encodeBody writes the unframed predictor state.
-func (p *ApproxLSHHist) encodeBody(w io.Writer) error {
-	le := binary.LittleEndian
-	noise := uint8(0)
-	if p.cfg.NoiseElimination {
-		noise = 1
+// decodeOnline is the one decoder of an EncodeState stream. It returns a
+// predict-only driver holding the decoded learner (not yet published):
+// NewReplicaOnline publishes it as is, DecodeState adopts its state into a
+// configured driver.
+func decodeOnline(r io.Reader) (*Online, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: read state: %w", err)
 	}
-	fields := []any{
-		int64(p.cfg.Dims), int64(p.cfg.OutDims), int64(p.cfg.Transforms), int64(p.cfg.HistBuckets),
-		p.cfg.Radius, p.cfg.Gamma, p.cfg.NoiseFraction, noise,
-		int64(p.cfg.MinSamples), p.cfg.Seed,
-		int64(p.total), uint32(len(p.hists)),
+	sr := snapshot.NewReader(b)
+	pred := decodePredictor(sr)
+	var validated, selfLabeled, epoch int64
+	var appliedSeq uint64
+	sr.Section(tagCounters, func(r *snapshot.Reader) {
+		validated, selfLabeled, epoch, appliedSeq = r.I64(), r.I64(), r.I64(), r.U64()
+	})
+	corr := stats.DecodeCorrections(sr)
+	if pred != nil {
+		pred.decodeRetune(sr)
 	}
-	for _, f := range fields {
-		if err := binary.Write(w, le, f); err != nil {
-			return err
-		}
+	if err := sr.End(); err != nil {
+		return nil, fmt.Errorf("core: decode state: %w", err)
 	}
-	for i := range p.hists {
-		if err := p.marginals[i].Encode(w); err != nil {
-			return err
-		}
-		plans := make([]int, 0, len(p.hists[i]))
-		for plan := range p.hists[i] {
-			plans = append(plans, plan)
-		}
-		sort.Ints(plans)
-		if err := binary.Write(w, le, uint32(len(plans))); err != nil {
-			return err
-		}
-		for _, plan := range plans {
-			if err := binary.Write(w, le, int64(plan)); err != nil {
-				return err
-			}
-			if err := p.hists[i][plan].Encode(w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// DecodeApproxLSHHist reconstructs a predictor previously written by
-// Encode, verifying the frame's length and checksum first. The randomized
-// transformations are regenerated from the stored seed, so predictions
-// after a round trip are bit-identical.
-func DecodeApproxLSHHist(r io.Reader) (*ApproxLSHHist, error) {
-	le := binary.LittleEndian
-	var version uint8
-	if err := binary.Read(r, le, &version); err != nil {
-		return nil, fmt.Errorf("core: decode: %w", err)
-	}
-	switch version {
-	case legacyPersistVersion:
-		// Unframed stream from before checksumming.
-		return decodeBody(r)
-	case persistVersion:
-	default:
-		return nil, fmt.Errorf("core: unsupported persistence version %d", version)
-	}
-	var length uint64
-	if err := binary.Read(r, le, &length); err != nil {
-		return nil, fmt.Errorf("core: decode frame length: %w", err)
-	}
-	if length > maxPersistBody {
-		return nil, fmt.Errorf("core: frame length %d exceeds limit", length)
-	}
-	var sum uint32
-	if err := binary.Read(r, le, &sum); err != nil {
-		return nil, fmt.Errorf("core: decode frame checksum: %w", err)
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("core: truncated synopsis frame: %w", err)
-	}
-	if got := crc32.Checksum(body, persistCRC); got != sum {
-		return nil, fmt.Errorf("core: synopsis checksum mismatch: stored %08x, computed %08x", sum, got)
-	}
-	return decodeBody(bytes.NewReader(body))
-}
-
-// decodeBody reconstructs a predictor from the unframed state stream.
-func decodeBody(r io.Reader) (*ApproxLSHHist, error) {
-	le := binary.LittleEndian
-	var dims, outDims, transforms, histBuckets, minSamples, seed, total int64
-	var radius, gamma, noiseFraction float64
-	var noise uint8
-	var tCount uint32
-	for _, p := range []any{&dims, &outDims, &transforms, &histBuckets,
-		&radius, &gamma, &noiseFraction, &noise, &minSamples, &seed, &total, &tCount} {
-		if err := binary.Read(r, le, p); err != nil {
-			return nil, err
-		}
-	}
-	cfg := Config{
-		Dims: int(dims), OutDims: int(outDims), Transforms: int(transforms),
-		HistBuckets: int(histBuckets), Radius: radius, Gamma: gamma,
-		NoiseElimination: noise == 1, NoiseFraction: noiseFraction,
-		MinSamples: int(minSamples), Seed: seed,
-	}
-	if cfg.MinSamples == 0 {
-		cfg.MinSamples = -1 // preserve "disabled" through the 0-default
-	}
-	p, err := NewApproxLSHHist(cfg)
+	cfg, err := OnlineConfig{Core: pred.Config()}.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if int(tCount) != len(p.hists) {
-		return nil, fmt.Errorf("core: transform count mismatch: stored %d, config %d", tCount, len(p.hists))
+	o := &Online{
+		cfg:  cfg,
+		env:  replicaEnv{},
+		pred: pred,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		est:  metrics.NewTemplateEstimator(cfg.WindowK),
+		corr: corr,
 	}
-	for i := 0; i < int(tCount); i++ {
-		m, err := histogram.DecodeDynamic(r)
-		if err != nil {
-			return nil, fmt.Errorf("core: marginal %d: %w", i, err)
-		}
-		p.marginals[i] = m
-		var nPlans uint32
-		if err := binary.Read(r, le, &nPlans); err != nil {
-			return nil, err
-		}
-		for j := 0; j < int(nPlans); j++ {
-			var plan int64
-			if err := binary.Read(r, le, &plan); err != nil {
-				return nil, err
-			}
-			h, err := histogram.DecodeDynamic(r)
-			if err != nil {
-				return nil, fmt.Errorf("core: histogram (%d, plan %d): %w", i, plan, err)
-			}
-			p.hists[i][int(plan)] = h
-			p.plans[int(plan)] = true
+	o.scratch.New = func() any { return NewPredictScratch(cfg.Core) }
+	o.validated.Store(validated)
+	o.selfLabeled.Store(selfLabeled)
+	o.resets.Store(epoch)
+	o.appliedSeq.Store(appliedSeq)
+	return o, nil
+}
+
+// DecodeState restores a driver state written by EncodeState and publishes
+// the restored model. The restored predictor must match this driver's plan
+// space dimensionality.
+func (o *Online) DecodeState(r io.Reader) error {
+	dec, err := decodeOnline(r)
+	if err != nil {
+		return err
+	}
+	pred := dec.pred
+	if pred.Config().Dims != o.cfg.Core.Dims {
+		return fmt.Errorf("core: restored state has %d dims, driver expects %d",
+			pred.Config().Dims, o.cfg.Core.Dims)
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.corr != nil {
+		// A state without a corrections section (adaptive stats off at save
+		// time) resets the corrections to cold rather than keeping
+		// unrelated state.
+		if err := o.corr.Adopt(dec.corr); err != nil {
+			return err
 		}
 	}
-	p.total = int(total)
-	return p, nil
+	if !pred.hasTuningState() && o.cfg.Core.RetuneEvery > 0 {
+		// Tunable LSH was off at save time but the driver wants it on: arm
+		// the machinery cold with this driver's knobs on the restored
+		// predictor's shape.
+		c := pred.cfg
+		c.RetuneEvery = o.cfg.Core.RetuneEvery
+		c.RetuneReservoir = o.cfg.Core.RetuneReservoir
+		pred.cfg = c
+		pred.initTuning(c)
+	}
+	o.pred = pred
+	o.validated.Store(dec.validated.Load())
+	o.selfLabeled.Store(dec.selfLabeled.Load())
+	o.resets.Store(dec.resets.Load())
+	o.appliedSeq.Store(dec.appliedSeq.Load())
+	o.est.Reset()
+	o.publishLocked()
+	return nil
 }

@@ -6,7 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/snapshot"
 )
+
+// encodePredictor returns the predictor section's bytes.
+func encodePredictor(p *ApproxLSHHist) []byte {
+	var w snapshot.Writer
+	p.encode(&w)
+	return w.Bytes()
+}
+
+// decodePredictorBytes decodes b as exactly one predictor section.
+func decodePredictorBytes(b []byte) (*ApproxLSHHist, error) {
+	r := snapshot.NewReader(b)
+	p := decodePredictor(r)
+	return p, r.End()
+}
 
 func TestApproxLSHHistEncodeDecodeIdenticalPredictions(t *testing.T) {
 	p := MustNewApproxLSHHist(Config{Dims: 3, Radius: 0.1, Gamma: 0.7, Seed: 13, NoiseElimination: true})
@@ -22,11 +37,7 @@ func TestApproxLSHHistEncodeDecodeIdenticalPredictions(t *testing.T) {
 		}
 		p.Insert(cluster.Sample{Point: x, Plan: plan, Cost: 5 + x[2]})
 	}
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeApproxLSHHist(&buf)
+	back, err := decodePredictorBytes(encodePredictor(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,18 +63,14 @@ func TestApproxLSHHistEncodeDecodeIdenticalPredictions(t *testing.T) {
 }
 
 func TestApproxLSHHistDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeApproxLSHHist(bytes.NewReader([]byte{9, 9, 9})); err == nil {
+	if _, err := decodePredictorBytes([]byte{9, 9, 9}); err == nil {
 		t.Error("garbage accepted")
 	}
 	p := MustNewApproxLSHHist(Config{Dims: 2, Seed: 1})
 	p.Insert(cluster.Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := encodePredictor(p)
 	for _, cut := range []int{1, 10, len(good) / 2} {
-		if _, err := DecodeApproxLSHHist(bytes.NewReader(good[:cut])); err == nil {
+		if _, err := decodePredictorBytes(good[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}

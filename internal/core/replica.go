@@ -4,7 +4,8 @@ package core
 // predict-only replica holds the same Online driver as the leader but never
 // calls Step: it installs shipped EncodeState bytes, applies shipped WAL
 // records through ApplyLog — the apply path crash recovery uses too — and
-// serves predictions from the published snapshot. Because both sides decode
+// serves predictions from the published snapshot through PredictRPC, the
+// body the leader's predict RPC runs too. Because both sides decode
 // the identical state bytes and apply the identical record stream, a
 // replica's PredictModel output is bit-identical to the leader's for the
 // same snapshot epoch. ApplyLog counts a shipped record that does not fit
@@ -13,21 +14,19 @@ package core
 // crash the replica.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
+	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
+	"repro/internal/netproto"
 )
 
 // PredictModel predicts at plan-space point x against the current published
 // model snapshot: lock-free, zero allocations (scratch buffers are pooled).
 // This is exactly the prediction the serving path (StepConcurrent) computes
-// before deciding whether to invoke the optimizer — the leader's predict
-// RPC and the replicas share it, which is what makes leader and replica
-// answers comparable bit for bit.
+// before deciding whether to invoke the optimizer; PredictRPC answers
+// through it.
 func (o *Online) PredictModel(x []float64) (cluster.Prediction, float64, bool) {
 	model := o.snap.Load()
 	sc := o.scratch.Get().(*PredictScratch)
@@ -36,61 +35,60 @@ func (o *Online) PredictModel(x []float64) (cluster.Prediction, float64, bool) {
 	return pred, costEst, costOK
 }
 
+// PredictRPC answers one wire predict request from the published model
+// snapshot. It is the one body behind the leader's and a replica's predict
+// RPCs, which is what makes their answers bit-identical for the same
+// snapshot epoch. A point of the wrong dimensionality or with a NaN or
+// infinite coordinate is a StatusBadRequest, rejected before it reaches
+// the predictor. The caller owns the plan id -> fingerprint table and
+// fills Fingerprint on StatusOK. An RPC is a read: it never invokes the
+// optimizer and never feeds the learner.
+func (o *Online) PredictRPC(req netproto.PredictRequest) netproto.PredictResult {
+	res := netproto.PredictResult{ID: req.ID, Status: netproto.StatusBadRequest}
+	if len(req.Point) != o.Dims() {
+		res.ErrMsg = fmt.Sprintf("point has %d coordinates, template %s expects %d",
+			len(req.Point), req.Template, o.Dims())
+		return res
+	}
+	for i, v := range req.Point {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			res.ErrMsg = fmt.Sprintf("point coordinate %d is %v, template %s needs finite coordinates",
+				i, v, req.Template)
+			return res
+		}
+	}
+	pred, costEst, costOK := o.PredictModel(req.Point)
+	res.Epoch = o.Epoch()
+	res.ModelVersion = o.Model().Version()
+	if !pred.OK {
+		res.Status = netproto.StatusNoPrediction
+		return res
+	}
+	res.Status = netproto.StatusOK
+	res.Plan = int64(pred.Plan)
+	res.Confidence = pred.Confidence
+	res.Cost, res.CostKnown = costEst, costOK
+	return res
+}
+
 // Dims returns the plan-space dimensionality the driver expects.
 func (o *Online) Dims() int { return o.cfg.Core.Dims }
 
 // NewReplicaOnline constructs a predict-only driver directly from an
 // EncodeState stream, with no prior knowledge of the template's
 // configuration — the predictor's own encoded config is the source of
-// truth. The driver has a stub environment: it can install state, replay
-// shipped WAL records and predict, but any code path that would invoke the
-// optimizer or executor fails loudly instead of silently doing work a
-// replica must not do.
+// truth. The corrections and retune sections ship with the learner, so the
+// replica's state stays in lockstep with the leader's per epoch. The driver
+// has a stub environment: it can install state, replay shipped WAL records
+// and predict, but any code path that would invoke the optimizer or
+// executor fails loudly instead of silently doing work a replica must not
+// do.
 func NewReplicaOnline(r io.Reader) (*Online, error) {
-	pred, err := DecodeApproxLSHHist(r)
+	o, err := decodeOnline(r)
 	if err != nil {
 		return nil, err
 	}
-	var trailer [4]int64
-	if err := binary.Read(r, binary.LittleEndian, trailer[:]); err != nil {
-		return nil, fmt.Errorf("core: replica state trailer: %w", err)
-	}
-	if trailer[3] < 0 {
-		return nil, fmt.Errorf("core: replica state has negative applied sequence %d", trailer[3])
-	}
-	cfg, err := OnlineConfig{Core: pred.Config()}.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	o := &Online{
-		cfg:  cfg,
-		env:  replicaEnv{},
-		pred: pred,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		est:  metrics.NewTemplateEstimator(cfg.WindowK),
-	}
-	scratchCfg := pred.Config()
-	o.scratch.New = func() any { return NewPredictScratch(scratchCfg) }
-	o.validated.Store(trailer[0])
-	o.selfLabeled.Store(trailer[1])
-	o.resets.Store(trailer[2])
-	o.appliedSeq.Store(uint64(trailer[3]))
-	// The optional sections ship with the learner so replica state stays in
-	// lockstep with the leader's per epoch: corrections (nil when the leader
-	// runs without adaptive stats) and tunable-LSH retune state (warps,
-	// harvest counts, reservoir — without which a shipped re-tune record
-	// could not rebuild the identical synopsis).
-	corr, ret, err := decodeStateTail(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: replica state tail: %w", err)
-	}
-	o.corr = corr
-	if ret != nil {
-		if err := pred.restoreRetune(ret); err != nil {
-			return nil, err
-		}
-	}
-	o.snap.Store(pred.Freeze())
+	o.snap.Store(o.pred.Freeze())
 	return o, nil
 }
 

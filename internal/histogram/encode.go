@@ -1,90 +1,61 @@
 package histogram
 
 import (
-	"encoding/binary"
-	"fmt"
-	"io"
 	"math"
+
+	"repro/internal/snapshot"
 )
 
 // Binary encoding of histograms, used to persist the plan cache's learned
-// synopses across restarts. The format is versioned and self-delimiting:
+// synopses across restarts. Each histogram is one "HIST" section of the
+// system state codec (internal/snapshot):
 //
-//	u8  version
 //	u32 maxBuckets, f64 lo, f64 hi, f64 total
 //	u32 bucket count, then per bucket: f64 lo, hi, count, costSum
-const encodeVersion = 1
+var tagHist = snapshot.Tag("HIST")
 
 // Encode writes the dynamic histogram's state to w.
-func (d *Dynamic) Encode(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, uint8(encodeVersion)); err != nil {
-		return err
-	}
-	hdr := []any{uint32(d.maxBuckets), d.lo, d.hi, d.total, uint32(len(d.buckets))}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
+func (d *Dynamic) Encode(w *snapshot.Writer) {
+	w.Section(tagHist, func(w *snapshot.Writer) {
+		w.U32(uint32(d.maxBuckets))
+		w.F64s(d.lo, d.hi, d.total)
+		w.U32(uint32(len(d.buckets)))
+		for _, b := range d.buckets {
+			w.F64s(b.Lo, b.Hi, b.Count, b.CostSum)
 		}
-	}
-	for _, b := range d.buckets {
-		for _, v := range []float64{b.Lo, b.Hi, b.Count, b.CostSum} {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	})
 }
 
-// DecodeDynamic reads a histogram previously written by Encode.
-func DecodeDynamic(r io.Reader) (*Dynamic, error) {
-	var version uint8
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("histogram: decode: %w", err)
-	}
-	if version != encodeVersion {
-		return nil, fmt.Errorf("histogram: unsupported encoding version %d", version)
-	}
-	var maxBuckets, nBuckets uint32
-	var lo, hi, total float64
-	if err := binary.Read(r, binary.LittleEndian, &maxBuckets); err != nil {
-		return nil, err
-	}
-	for _, p := range []*float64{&lo, &hi, &total} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	if err := binary.Read(r, binary.LittleEndian, &nBuckets); err != nil {
-		return nil, err
-	}
-	d, err := NewDynamic(int(maxBuckets), lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	if nBuckets > maxBuckets || nBuckets == 0 {
-		return nil, fmt.Errorf("histogram: corrupt bucket count %d (max %d)", nBuckets, maxBuckets)
-	}
-	buckets := make([]Bucket, nBuckets)
-	var checked float64
-	for i := range buckets {
-		for _, p := range []*float64{&buckets[i].Lo, &buckets[i].Hi, &buckets[i].Count, &buckets[i].CostSum} {
-			if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-				return nil, err
+// DecodeDynamic reads a histogram written by Encode. On failure it records
+// the error in r and returns nil.
+func DecodeDynamic(r *snapshot.Reader) *Dynamic {
+	var d *Dynamic
+	r.Section(tagHist, func(r *snapshot.Reader) {
+		maxBuckets := int(r.U32())
+		lo, hi, total := r.F64(), r.F64(), r.F64()
+		buckets := make([]Bucket, r.Count(maxBuckets))
+		var checked float64
+		for i := range buckets {
+			b := &buckets[i]
+			b.Lo, b.Hi, b.Count, b.CostSum = r.F64(), r.F64(), r.F64(), r.F64()
+			if !(b.Count >= 0) || (i > 0 && b.Lo != buckets[i-1].Hi) {
+				r.Failf("histogram: corrupt bucket %d (count %v)", i, b.Count)
 			}
+			checked += b.Count
 		}
-		if buckets[i].Count < 0 || math.IsNaN(buckets[i].Count) {
-			return nil, fmt.Errorf("histogram: corrupt bucket %d count %v", i, buckets[i].Count)
+		dec, err := NewDynamic(maxBuckets, lo, hi)
+		switch {
+		case r.Err() != nil:
+		case err != nil:
+			r.Failf("%v", err)
+		case len(buckets) == 0:
+			r.Failf("histogram: corrupt bucket count 0")
+		case math.Abs(checked-total) > 1e-6*math.Max(1, total):
+			r.Failf("histogram: bucket counts (%v) disagree with total (%v)", checked, total)
+		default:
+			dec.buckets, dec.total = buckets, total
+			d = dec
 		}
-		if i > 0 && buckets[i].Lo != buckets[i-1].Hi {
-			return nil, fmt.Errorf("histogram: corrupt bucket chain at %d", i)
-		}
-		checked += buckets[i].Count
-	}
-	if math.Abs(checked-total) > 1e-6*math.Max(1, total) {
-		return nil, fmt.Errorf("histogram: bucket counts (%v) disagree with total (%v)", checked, total)
-	}
-	d.buckets = buckets
-	d.total = total
-	return d, nil
+	})
+	return d
 }

@@ -1,10 +1,31 @@
 package histogram
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/snapshot"
 )
+
+// roundTrip encodes d and decodes the bytes back.
+func roundTrip(t *testing.T, d *Dynamic) *Dynamic {
+	t.Helper()
+	var w snapshot.Writer
+	d.Encode(&w)
+	r := snapshot.NewReader(w.Bytes())
+	back := DecodeDynamic(r)
+	if err := r.End(); err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// decodeErr decodes b as one histogram and returns the failure, if any.
+func decodeErr(b []byte) error {
+	r := snapshot.NewReader(b)
+	DecodeDynamic(r)
+	return r.End()
+}
 
 func TestDynamicEncodeDecodeRoundTrip(t *testing.T) {
 	d := MustNewDynamic(24, 0, 1)
@@ -12,14 +33,7 @@ func TestDynamicEncodeDecodeRoundTrip(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		d.Insert(rng.Float64(), rng.Float64()*10)
 	}
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeDynamic(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := roundTrip(t, d)
 	if back.TotalCount() != d.TotalCount() || back.NumBuckets() != d.NumBuckets() {
 		t.Fatalf("shape changed: %v/%d vs %v/%d",
 			back.TotalCount(), back.NumBuckets(), d.TotalCount(), d.NumBuckets())
@@ -49,42 +63,33 @@ func TestDecodeDynamicRejectsCorruption(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d.Insert(float64(i)/100, 1)
 	}
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	var w snapshot.Writer
+	d.Encode(&w)
+	good := w.Bytes()
 
 	// Truncations anywhere must fail, not panic.
 	for _, cut := range []int{0, 1, 5, len(good) / 2, len(good) - 3} {
-		if _, err := DecodeDynamic(bytes.NewReader(good[:cut])); err == nil {
+		if err := decodeErr(good[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 	// A flipped count byte must fail the checksum-style validation.
 	bad := append([]byte(nil), good...)
 	bad[len(bad)-10] ^= 0xFF
-	if _, err := DecodeDynamic(bytes.NewReader(bad)); err == nil {
+	if err := decodeErr(bad); err == nil {
 		t.Error("corrupt payload accepted")
 	}
-	// Wrong version must be rejected.
+	// A wrong section tag must be rejected.
 	bad2 := append([]byte(nil), good...)
 	bad2[0] = 99
-	if _, err := DecodeDynamic(bytes.NewReader(bad2)); err == nil {
-		t.Error("unknown version accepted")
+	if err := decodeErr(bad2); err == nil {
+		t.Error("unknown section tag accepted")
 	}
 }
 
 func TestDynamicEncodeEmpty(t *testing.T) {
 	d := MustNewDynamic(8, 0, 1)
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeDynamic(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := roundTrip(t, d)
 	if back.TotalCount() != 0 || back.NumBuckets() != 1 {
 		t.Errorf("empty round trip: %v/%d", back.TotalCount(), back.NumBuckets())
 	}

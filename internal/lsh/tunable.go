@@ -66,10 +66,10 @@ func WarpFromKnots(knots []float64) (*Warp, error) {
 	return w, nil
 }
 
-// Apply maps v through the warp. Inputs are clamped to [0,1]; the result is
-// in [0,1]. Allocation-free — safe on the serving path.
+// Apply maps v through the warp. Inputs are clamped to [0,1] (NaN maps to
+// 0); the result is in [0,1]. Allocation-free — safe on the serving path.
 func (w *Warp) Apply(v float64) float64 {
-	if v <= 0 {
+	if !(v > 0) {
 		return 0
 	}
 	if v >= 1 {

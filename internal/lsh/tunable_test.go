@@ -21,6 +21,14 @@ func TestIdentityWarp(t *testing.T) {
 	}
 }
 
+// A NaN input clamps to the low edge instead of indexing the knots with
+// int(NaN).
+func TestWarpApplyNaN(t *testing.T) {
+	if got := IdentityWarp().Apply(math.NaN()); got != 0 {
+		t.Fatalf("Apply(NaN) = %v, want 0", got)
+	}
+}
+
 func TestWarpFromKnotsValidation(t *testing.T) {
 	good := IdentityWarp().Knots()
 	if _, err := WarpFromKnots(good); err != nil {

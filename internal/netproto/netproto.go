@@ -67,8 +67,8 @@ const (
 	MsgPredict MsgType = 4
 	// MsgPredictResult answers one MsgPredict.
 	MsgPredictResult MsgType = 5
-	// MsgSnapshot ships the leader's full learned state (per-template
-	// learner encodings + the plan fingerprint table).
+	// MsgSnapshot ships the leader's full learned state (the encoded
+	// system state a checkpoint holds).
 	MsgSnapshot MsgType = 6
 	// MsgRecords ships a batch of WAL feedback records (PR 5 frame
 	// encoding, verbatim).
@@ -493,90 +493,40 @@ func (p PredictResult) Err() error {
 	return fmt.Errorf("netproto: predict status %d: %s", p.Status, p.ErrMsg)
 }
 
-// TemplateState is one template's learned state inside a Snapshot: the
-// core.Online EncodeState bytes, opaque to the wire layer.
-type TemplateState struct {
-	Name  string
-	State []byte
-}
-
-// Snapshot is the leader's full learned state: every template's learner
-// encoding plus the plan fingerprint table (dense plan id -> fingerprint).
-// BaseSeq is the WAL sequence floor the snapshot covers — the shipped tail
-// starts there, and per-template applied-sequence watermarks inside the
-// learner encodings make the overlap idempotent.
+// Snapshot is a full state transfer: State holds the encoded system state
+// (internal/snapshot, the same bytes a checkpoint holds), opaque to the
+// wire layer. BaseSeq is the WAL sequence floor the snapshot covers — the
+// shipped tail starts there, and per-template applied-sequence watermarks
+// inside the learner encodings make the overlap idempotent.
 type Snapshot struct {
-	Epoch        uint64
-	BaseSeq      uint64
-	Templates    []TemplateState
-	Fingerprints []string
+	Epoch   uint64
+	BaseSeq uint64
+	State   []byte
 }
 
 // Encode appends the snapshot body to dst.
 func (s Snapshot) Encode(dst []byte) []byte {
 	dst = appendU64(dst, s.Epoch)
 	dst = appendU64(dst, s.BaseSeq)
-	dst = appendU32(dst, uint32(len(s.Templates)))
-	for _, t := range s.Templates {
-		dst = appendString(dst, t.Name)
-		dst = appendU32(dst, uint32(len(t.State)))
-		dst = append(dst, t.State...)
-	}
-	dst = appendU32(dst, uint32(len(s.Fingerprints)))
-	for _, fp := range s.Fingerprints {
-		dst = appendString(dst, fp)
-	}
-	return dst
+	dst = appendU32(dst, uint32(len(s.State)))
+	return append(dst, s.State...)
 }
 
-// DecodeSnapshot parses a snapshot body. The returned state byte slices
-// are copies (safe to retain past the next ReadMsg).
+// DecodeSnapshot parses a snapshot body. State is a copy (safe to retain
+// past the next ReadMsg).
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if len(b) < 8+8+4 {
 		return nil, fmt.Errorf("%w: snapshot body has %d bytes", ErrBadFrame, len(b))
 	}
-	s := &Snapshot{
-		Epoch:   binary.LittleEndian.Uint64(b),
-		BaseSeq: binary.LittleEndian.Uint64(b[8:]),
+	le := binary.LittleEndian
+	if n := le.Uint32(b[16:]); uint64(n) != uint64(len(b)-20) {
+		return nil, fmt.Errorf("%w: snapshot state has %d bytes, header says %d", ErrBadFrame, len(b)-20, n)
 	}
-	b = b[16:]
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	for i := 0; i < n; i++ {
-		name, rest, err := takeString(b)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: snapshot template %d truncated", ErrBadFrame, i)
-		}
-		sl := int(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		if len(rest) < sl {
-			return nil, fmt.Errorf("%w: snapshot template %q state truncated", ErrBadFrame, name)
-		}
-		state := make([]byte, sl)
-		copy(state, rest[:sl])
-		s.Templates = append(s.Templates, TemplateState{Name: name, State: state})
-		b = rest[sl:]
-	}
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: snapshot fingerprint table truncated", ErrBadFrame)
-	}
-	nf := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	for i := 0; i < nf; i++ {
-		fp, rest, err := takeString(b)
-		if err != nil {
-			return nil, err
-		}
-		s.Fingerprints = append(s.Fingerprints, fp)
-		b = rest
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrBadFrame, len(b))
-	}
-	return s, nil
+	return &Snapshot{
+		Epoch:   le.Uint64(b),
+		BaseSeq: le.Uint64(b[8:]),
+		State:   append([]byte(nil), b[20:]...),
+	}, nil
 }
 
 // Heartbeat carries liveness plus a fenced sequence number: leader -> the

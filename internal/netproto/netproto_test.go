@@ -67,23 +67,12 @@ func TestMessageRoundTrips(t *testing.T) {
 	if got, err := DecodePredictResult(res.Encode(nil)); err != nil || got != res {
 		t.Errorf("predict result: %+v, %v", got, err)
 	}
-	snap := Snapshot{
-		Epoch:   9,
-		BaseSeq: 1000,
-		Templates: []TemplateState{
-			{Name: "Q1", State: []byte{1, 2, 3}},
-			{Name: "Q2", State: nil},
-		},
-		Fingerprints: []string{"plan-a", "", "plan-c"},
-	}
+	snap := Snapshot{Epoch: 9, BaseSeq: 1000, State: []byte{1, 2, 3}}
 	got, err := DecodeSnapshot(snap.Encode(nil))
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if got.Epoch != snap.Epoch || got.BaseSeq != snap.BaseSeq ||
-		len(got.Templates) != 2 || got.Templates[0].Name != "Q1" ||
-		string(got.Templates[0].State) != string(snap.Templates[0].State) ||
-		!reflect.DeepEqual(got.Fingerprints, snap.Fingerprints) {
+	if !reflect.DeepEqual(*got, snap) {
 		t.Errorf("snapshot round trip: %+v", got)
 	}
 	hb := Heartbeat{Seq: 5, Epoch: 6}
@@ -221,11 +210,7 @@ func TestDecodeHelloRejections(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncatedBodies(t *testing.T) {
-	full := Snapshot{
-		Epoch:        1,
-		Templates:    []TemplateState{{Name: "Q1", State: []byte{1, 2, 3, 4}}},
-		Fingerprints: []string{"fp"},
-	}.Encode(nil)
+	full := Snapshot{Epoch: 1, State: []byte{1, 2, 3, 4}}.Encode(nil)
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeSnapshot(full[:cut]); err == nil {
 			t.Fatalf("snapshot truncated at %d accepted", cut)

@@ -2,9 +2,12 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/snapshot"
 )
 
 // OpKind identifies a physical operator.
@@ -156,6 +159,120 @@ func FingerprintOf(root *Node) string {
 	return b.String()
 }
 
+// maxTreeDepth bounds a decoded plan tree's depth (a left-deep plan over
+// every table of a query is far shallower), so corrupt input cannot recurse
+// without limit.
+const maxTreeDepth = 64
+
+// EncodeTree encodes a plan tree for the system state codec
+// (internal/snapshot): every Node field in declaration order, children
+// last, each behind a presence flag. A Node field missing here fails the
+// save/restore round trip tests, which compare trees with reflect.DeepEqual.
+func EncodeTree(root *Node) []byte {
+	var w snapshot.Writer
+	root.encode(&w)
+	return w.Bytes()
+}
+
+func (n *Node) encode(w *snapshot.Writer) {
+	w.I64(int64(n.Op))
+	w.String(n.Table)
+	w.String(n.Alias)
+	w.String(n.IndexCol)
+	w.F64s(n.IndexLo, n.IndexHi)
+	w.U32(uint32(len(n.Filters)))
+	for _, p := range n.Filters {
+		w.I64(int64(p.Kind))
+		encodeCol(w, p.Col)
+		w.I64(int64(p.Op))
+		w.F64s(p.Value, p.Lo, p.Hi)
+		w.I64(int64(p.ParamIdx))
+		w.String(p.StrValue)
+		encodeCol(w, p.RightCol)
+		w.I64(int64(p.Site))
+	}
+	encodeCol(w, n.LeftCol)
+	encodeCol(w, n.RightCol)
+	w.Bool(n.BuildLeft)
+	w.U32(uint32(len(n.GroupBy)))
+	for _, c := range n.GroupBy {
+		encodeCol(w, c)
+	}
+	w.U32(uint32(len(n.Aggs)))
+	for _, a := range n.Aggs {
+		w.I64(int64(a.Agg))
+		encodeCol(w, a.Col)
+	}
+	w.F64s(n.EstRows, n.EstCost)
+	encodeCol(w, n.SortedOn)
+	w.I64(int64(n.IndexSite))
+	w.I64(int64(n.JoinSite))
+	for _, child := range []*Node{n.Left, n.Right} {
+		w.Bool(child != nil)
+		if child != nil {
+			child.encode(w)
+		}
+	}
+}
+
+func encodeCol(w *snapshot.Writer, c ColRef) {
+	w.String(c.Alias)
+	w.String(c.Column)
+}
+
+// DecodeTree decodes a tree written by EncodeTree. It rejects a node whose
+// children do not fit its operator (scans are leaves, joins binary,
+// HashAgg unary), so a decoded tree is safe to fingerprint and compile.
+func DecodeTree(b []byte) (*Node, error) {
+	r := snapshot.NewReader(b)
+	root := decodeNode(r, 0)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("optimizer: plan tree: %w", err)
+	}
+	return root, nil
+}
+
+func decodeNode(r *snapshot.Reader, depth int) *Node {
+	if depth > maxTreeDepth {
+		r.Failf("optimizer: plan tree deeper than %d", maxTreeDepth)
+		return nil
+	}
+	n := &Node{
+		Op: OpKind(r.I64()), Table: r.String(), Alias: r.String(), IndexCol: r.String(),
+		IndexLo: r.F64(), IndexHi: r.F64(),
+	}
+	for k := r.Count(math.MaxInt32); len(n.Filters) < k; {
+		n.Filters = append(n.Filters, Predicate{
+			Kind: PredKind(r.I64()), Col: decodeCol(r), Op: CmpOp(r.I64()),
+			Value: r.F64(), Lo: r.F64(), Hi: r.F64(), ParamIdx: int(r.I64()),
+			StrValue: r.String(), RightCol: decodeCol(r), Site: int(r.I64()),
+		})
+	}
+	n.LeftCol, n.RightCol, n.BuildLeft = decodeCol(r), decodeCol(r), r.Bool()
+	for k := r.Count(math.MaxInt32); len(n.GroupBy) < k; {
+		n.GroupBy = append(n.GroupBy, decodeCol(r))
+	}
+	for k := r.Count(math.MaxInt32); len(n.Aggs) < k; {
+		n.Aggs = append(n.Aggs, SelectItem{Agg: AggFunc(r.I64()), Col: decodeCol(r)})
+	}
+	n.EstRows, n.EstCost, n.SortedOn = r.F64(), r.F64(), decodeCol(r)
+	n.IndexSite, n.JoinSite = int(r.I64()), int(r.I64())
+	for _, child := range []**Node{&n.Left, &n.Right} {
+		if r.Bool() {
+			*child = decodeNode(r, depth+1)
+		}
+	}
+	join := n.Op >= OpHashJoin && n.Op <= OpNLJoin
+	if n.Op < OpSeqScan || n.Op > OpHashAgg || (n.Left != nil) != (n.Op > OpIndexScan) || (n.Right != nil) != join {
+		r.Failf("optimizer: malformed plan node (op %d)", n.Op)
+	}
+	return n
+}
+
+func decodeCol(r *snapshot.Reader) ColRef {
+	return ColRef{Alias: r.String(), Column: r.String()}
+}
+
 // String renders the plan tree with estimates, one operator per line.
 func (p *Plan) String() string {
 	var b strings.Builder
@@ -247,6 +364,13 @@ func (r *Registry) Fingerprint(id int) string {
 		return ""
 	}
 	return r.names[id]
+}
+
+// Fingerprints returns every fingerprint, indexed by identifier.
+func (r *Registry) Fingerprints() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return append([]string(nil), r.names...)
 }
 
 // Count returns the number of distinct plans seen.

@@ -62,10 +62,17 @@ type Instance struct {
 	Values   []float64
 }
 
-// Instantiate binds parameter values, validating the count.
+// Instantiate binds parameter values, validating the count and rejecting
+// NaN: a NaN parameter has no selectivity, so it has no plan space point.
+// ±Inf is accepted; its selectivity clamps to the domain edge.
 func (t *Template) Instantiate(values []float64) (Instance, error) {
 	if len(values) != t.Degree() {
 		return Instance{}, fmt.Errorf("optimizer: template %s needs %d values, got %d", t.Name, t.Degree(), len(values))
+	}
+	for i, v := range values {
+		if math.IsNaN(v) {
+			return Instance{}, fmt.Errorf("optimizer: template %s parameter %d is NaN", t.Name, i+1)
+		}
 	}
 	return Instance{Template: t, Values: values}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lsh"
 	"repro/internal/netproto"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/wal"
 )
@@ -80,7 +81,7 @@ func TestApplyRecordsWrongShapeRetuneIsSkipped(t *testing.T) {
 // fuzzSnapshot is a one-template snapshot with tunable LSH armed (so a
 // well-shaped retune record rebuilds from a reservoir) and corrections
 // attached (so correction records reach Corrections.Replay).
-func fuzzSnapshot(f *testing.F) *netproto.Snapshot {
+func fuzzSnapshot(f testing.TB) *netproto.Snapshot {
 	o := core.MustNewOnline(core.OnlineConfig{
 		Core: core.Config{
 			Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true,
@@ -100,10 +101,32 @@ func fuzzSnapshot(f *testing.F) *netproto.Snapshot {
 	if err := o.EncodeState(&buf); err != nil {
 		f.Fatal(err)
 	}
-	return &netproto.Snapshot{
-		Epoch:        1,
-		Templates:    []netproto.TemplateState{{Name: "Q1", State: buf.Bytes()}},
+	st := snapshot.State{
+		Templates:    []snapshot.Template{{Name: "Q1", Learner: buf.Bytes()}},
 		Fingerprints: testFingerprints,
+	}
+	return &netproto.Snapshot{Epoch: 1, State: st.Encode()}
+}
+
+// Once the installed template has re-tuned, a NaN coordinate used to index
+// the warp knots out of range. The replica's PredictRPC answers it as a bad
+// request, like the leader's.
+func TestReplicaPredictRPCRejectsNonFinitePoint(t *testing.T) {
+	st := NewState(nil)
+	if err := st.Install(fuzzSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
+	if st.RetuneEpoch("Q1") == 0 {
+		t.Fatal("installed learner never re-tuned; test is vacuous")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		res := st.PredictRPC(netproto.PredictRequest{ID: 7, Template: "Q1", Point: []float64{v, 0.3}})
+		if res.Status != netproto.StatusBadRequest || res.ID != 7 {
+			t.Fatalf("PredictRPC at coordinate %v = %+v, want StatusBadRequest", v, res)
+		}
+	}
+	if res := st.PredictRPC(netproto.PredictRequest{Template: "Q1", Point: []float64{0.3, 0.3}}); res.Status == netproto.StatusBadRequest {
+		t.Fatalf("finite point rejected: %+v", res)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netproto"
 	"repro/internal/obsv"
+	"repro/internal/snapshot"
 	"repro/internal/wal"
 )
 
@@ -142,12 +143,11 @@ func (f *fakeSource) ReplicationSnapshot() (*netproto.Snapshot, error) {
 	if err := f.online.EncodeState(&buf); err != nil {
 		return nil, err
 	}
-	return &netproto.Snapshot{
-		Epoch:        f.epoch,
-		BaseSeq:      base,
-		Templates:    []netproto.TemplateState{{Name: "Q1", State: buf.b}},
+	st := snapshot.State{
+		Templates:    []snapshot.Template{{Name: "Q1", Learner: buf.b}},
 		Fingerprints: append([]string(nil), testFingerprints...),
-	}, nil
+	}
+	return &netproto.Snapshot{Epoch: f.epoch, BaseSeq: base, State: st.Encode()}, nil
 }
 
 func (f *fakeSource) WALDir() string         { return f.log.Dir() }

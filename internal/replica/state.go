@@ -6,10 +6,12 @@
 //
 // Replication unit and invariants:
 //
-//   - The snapshot is the leader's per-template EncodeState bytes — the
-//     exact bytes a checkpoint writes — plus the dense plan fingerprint
-//     table. A replica that decodes them holds a learner state identical
-//     to the leader's at encode time, so predictions are bit-identical for
+//   - The snapshot is the leader's encoded system state (internal/snapshot)
+//     — the same bytes a checkpoint writes: every template's learner
+//     state, candidate set and cached plan trees, plus the dense plan
+//     fingerprint table. A replica installs the learners and the
+//     fingerprint table; decoding them gives a learner state identical to
+//     the leader's at encode time, so predictions are bit-identical for
 //     the same snapshot epoch.
 //   - The incremental stream is the leader's WAL records, shipped in their
 //     on-disk frame encoding. Replicas apply them through the same
@@ -39,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netproto"
 	"repro/internal/obsv"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/wal"
 )
@@ -146,16 +149,20 @@ func (s *State) Install(snap *netproto.Snapshot) error {
 		s.obs.CountStaleSnapshot()
 		return fmt.Errorf("%w: snapshot epoch %x, fenced to %x", ErrEpochFenced, snap.Epoch, s.epoch)
 	}
-	fresh := make(map[string]*core.Online, len(snap.Templates))
-	for _, t := range snap.Templates {
-		o, err := core.NewReplicaOnline(bytes.NewReader(t.State))
+	in, err := snapshot.Decode(snap.State)
+	if err != nil {
+		return fmt.Errorf("replica: install: %w", err)
+	}
+	fresh := make(map[string]*core.Online, len(in.Templates))
+	for _, t := range in.Templates {
+		o, err := core.NewReplicaOnline(bytes.NewReader(t.Learner))
 		if err != nil {
 			return fmt.Errorf("replica: install template %s: %w", t.Name, err)
 		}
 		fresh[t.Name] = o
 	}
 	s.templates = fresh
-	s.fingerprints = append([]string(nil), snap.Fingerprints...)
+	s.fingerprints = in.Fingerprints
 	s.epoch = snap.Epoch
 	if snap.BaseSeq > s.receivedSeq {
 		s.receivedSeq = snap.BaseSeq
@@ -227,45 +234,26 @@ func (s *State) CorrectionState(template string) *stats.Corrections {
 	return nil
 }
 
-// PredictRPC serves one wire predict request from the installed state:
-// the identical lock-free path the leader's PredictRPC runs, which is what
-// makes replica answers bit-identical to the leader's for the same
-// snapshot epoch.
+// PredictRPC serves one wire predict request from the installed state
+// through core.Online.PredictRPC, the body the leader's PredictRPC runs,
+// which is what makes replica answers bit-identical to the leader's for
+// the same snapshot epoch.
 func (s *State) PredictRPC(req netproto.PredictRequest) netproto.PredictResult {
-	res := netproto.PredictResult{ID: req.ID}
 	s.mu.RLock()
 	o := s.templates[req.Template]
 	fps := s.fingerprints
 	empty := len(s.templates) == 0
 	s.mu.RUnlock()
 	if o == nil {
+		res := netproto.PredictResult{ID: req.ID, Status: netproto.StatusUnknownTemplate, ErrMsg: req.Template}
 		if empty {
-			res.Status = netproto.StatusNotReady
-		} else {
-			res.Status = netproto.StatusUnknownTemplate
-			res.ErrMsg = req.Template
+			res.Status, res.ErrMsg = netproto.StatusNotReady, ""
 		}
 		return res
 	}
-	if len(req.Point) != o.Dims() {
-		res.Status = netproto.StatusBadRequest
-		res.ErrMsg = fmt.Sprintf("point has %d coordinates, template %s expects %d",
-			len(req.Point), req.Template, o.Dims())
-		return res
-	}
-	pred, costEst, costOK := o.PredictModel(req.Point)
-	res.Epoch = o.Epoch()
-	res.ModelVersion = o.Model().Version()
-	if !pred.OK {
-		res.Status = netproto.StatusNoPrediction
-		return res
-	}
-	res.Status = netproto.StatusOK
-	res.Plan = int64(pred.Plan)
-	res.Confidence = pred.Confidence
-	res.Cost, res.CostKnown = costEst, costOK
-	if pred.Plan >= 0 && pred.Plan < len(fps) {
-		res.Fingerprint = fps[pred.Plan]
+	res := o.PredictRPC(req)
+	if res.Status == netproto.StatusOK && res.Plan >= 0 && res.Plan < int64(len(fps)) {
+		res.Fingerprint = fps[res.Plan]
 	}
 	return res
 }

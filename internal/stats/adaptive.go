@@ -1,12 +1,12 @@
 package stats
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/snapshot"
 )
 
 // CorrConfig tunes one template's correction learner.
@@ -303,113 +303,65 @@ func (c *Corrections) ActiveSites() int {
 	return n
 }
 
-// corrMagic opens an encoded corrections section; corrVersion versions it.
-// The section rides behind the learner trailer inside EncodeState bytes:
-// old decoders stop before it (and stay correction-cold), new decoders
-// treat EOF at the section start as "no corrections".
-const (
-	corrMagic   = uint32(0x43505043) // "CPPC"
-	corrVersion = uint16(1)
-	// CorrectionsMagic exposes the section magic so multi-section decoders
-	// (core's optional persistence tail) can dispatch on a peeked magic
-	// before handing the stream to DecodeCorrections.
-	CorrectionsMagic = corrMagic
-	// maxCorrSites caps the declared site count so a corrupted length field
-	// cannot drive a huge allocation.
-	maxCorrSites = 1 << 20
-)
+// Corrections persist as the "CORR" section of a learner's state stream
+// (internal/snapshot), written after the learner's counters:
+//
+//	u32 site count; f64 alpha, clampMin, clampMax; u64 minObs;
+//	f64 epochLogDelta; u64 epoch, applied seq;
+//	per site: f64 logc, u64 n, f64 ref
+var tagCorrections = snapshot.Tag("CORR")
+
+// maxCorrSites caps the declared site count so a corrupted length field
+// cannot drive a huge allocation.
+const maxCorrSites = 1 << 20
 
 // Encode writes the correction state (config, watermark, epoch and every
-// site's EWMA state) to w.
-func (c *Corrections) Encode(w io.Writer) error {
+// site's EWMA state) as one section.
+func (c *Corrections) Encode(w *snapshot.Writer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	le := binary.LittleEndian
-	var hdr [4 + 2 + 4]byte
-	le.PutUint32(hdr[0:], corrMagic)
-	le.PutUint16(hdr[4:], corrVersion)
-	le.PutUint32(hdr[6:], uint32(len(c.sites)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	cfg := []float64{c.cfg.Alpha, c.cfg.ClampMin, c.cfg.ClampMax, float64(c.cfg.MinObs), c.cfg.EpochLogDelta}
-	if err := binary.Write(w, le, cfg); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, [2]uint64{c.epoch.Load(), c.appliedSeq.Load()}); err != nil {
-		return err
-	}
-	for i := range c.sites {
-		s := &c.sites[i]
-		if err := binary.Write(w, le, [3]uint64{math.Float64bits(s.logc), s.n, math.Float64bits(s.ref)}); err != nil {
-			return err
+	w.Section(tagCorrections, func(w *snapshot.Writer) {
+		w.U32(uint32(len(c.sites)))
+		w.F64s(c.cfg.Alpha, c.cfg.ClampMin, c.cfg.ClampMax)
+		w.U64(c.cfg.MinObs)
+		w.F64(c.cfg.EpochLogDelta)
+		w.U64(c.epoch.Load())
+		w.U64(c.appliedSeq.Load())
+		for i := range c.sites {
+			s := &c.sites[i]
+			w.F64(s.logc)
+			w.U64(s.n)
+			w.F64(s.ref)
 		}
-	}
-	return nil
+	})
 }
 
-// DecodeCorrections reads a corrections section written by Encode and
-// returns freshly constructed state. A clean EOF before the first byte
-// returns (nil, nil): the stream predates corrections, the caller stays
-// cold. Anything else that fails to parse is an error.
-func DecodeCorrections(r io.Reader) (*Corrections, error) {
-	le := binary.LittleEndian
-	var hdr [4 + 2 + 4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil
+// DecodeCorrections reads the corrections section if it is next in r and
+// returns freshly constructed state; nil when the stream has no such
+// section there (the learner was saved without corrections) or when it
+// fails to parse (the failure is recorded in r).
+func DecodeCorrections(r *snapshot.Reader) *Corrections {
+	var c *Corrections
+	r.Optional(tagCorrections, func(r *snapshot.Reader) {
+		nSites := r.Count(maxCorrSites)
+		cfg := CorrConfig{Alpha: r.F64(), ClampMin: r.F64(), ClampMax: r.F64(), MinObs: r.U64(), EpochLogDelta: r.F64()}
+		dec := NewCorrections(nSites, cfg)
+		dec.epoch.Store(r.U64())
+		dec.appliedSeq.Store(r.U64())
+		for i := range dec.sites {
+			dec.sites[i] = siteState{logc: r.F64(), n: r.U64(), ref: r.F64()}
+			dec.publishLocked(i)
 		}
-		return nil, fmt.Errorf("stats: corrections header: %w", err)
-	}
-	if le.Uint32(hdr[0:]) != corrMagic {
-		return nil, fmt.Errorf("stats: bad corrections magic %08x", le.Uint32(hdr[0:]))
-	}
-	if v := le.Uint16(hdr[4:]); v != corrVersion {
-		return nil, fmt.Errorf("stats: unsupported corrections version %d", v)
-	}
-	nSites := le.Uint32(hdr[6:])
-	if nSites > maxCorrSites {
-		return nil, fmt.Errorf("stats: implausible corrections site count %d", nSites)
-	}
-	var cfgv [5]float64
-	if err := binary.Read(r, le, cfgv[:]); err != nil {
-		return nil, fmt.Errorf("stats: corrections config: %w", err)
-	}
-	cfg := CorrConfig{Alpha: cfgv[0], ClampMin: cfgv[1], ClampMax: cfgv[2], MinObs: uint64(cfgv[3]), EpochLogDelta: cfgv[4]}
-	c := NewCorrections(int(nSites), cfg)
-	var meta [2]uint64
-	if err := binary.Read(r, le, meta[:]); err != nil {
-		return nil, fmt.Errorf("stats: corrections state: %w", err)
-	}
-	c.epoch.Store(meta[0])
-	c.appliedSeq.Store(meta[1])
-	for i := 0; i < int(nSites); i++ {
-		var sv [3]uint64
-		if err := binary.Read(r, le, sv[:]); err != nil {
-			return nil, fmt.Errorf("stats: corrections site %d: %w", i+1, err)
+		if r.Err() == nil {
+			c = dec
 		}
-		c.sites[i] = siteState{logc: math.Float64frombits(sv[0]), n: sv[1], ref: math.Float64frombits(sv[2])}
-		c.publishLocked(i)
-	}
-	return c, nil
+	})
+	return c
 }
 
-// RestoreFrom replaces this state with one decoded from r, requiring the
-// same site count (a shape change between save and restore degrades the
-// template to correction-cold via the returned error). A stream with no
-// corrections section resets to cold.
-func (c *Corrections) RestoreFrom(r io.Reader) error {
-	dec, err := DecodeCorrections(r)
-	if err != nil {
-		return err
-	}
-	return c.Adopt(dec)
-}
-
-// Adopt replaces this state with an already-decoded one (nil resets to
-// cold), requiring the same site count. Split from RestoreFrom so callers
-// that demultiplex several optional persistence sections can decode the
-// corrections section themselves and hand over the result.
+// Adopt replaces this state with a decoded one (nil resets to cold),
+// requiring the same site count: a shape change between save and restore
+// is an error, and the caller degrades the template to correction-cold.
 func (c *Corrections) Adopt(dec *Corrections) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

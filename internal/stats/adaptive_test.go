@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 // memLogger is an in-memory CorrLogger: it stamps sequences the way the
@@ -160,11 +162,14 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Apply([]Obs{{Site: 1, LogQ: math.Log(5)}, {Site: 2, LogQ: math.Log(0.5)}}, lg)
 	}
-	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		t.Fatal(err)
+	var w snapshot.Writer
+	c.Encode(&w)
+	decode := func(b []byte) (*Corrections, error) {
+		r := snapshot.NewReader(b)
+		dec := DecodeCorrections(r)
+		return dec, r.End()
 	}
-	dec, err := DecodeCorrections(bytes.NewReader(buf.Bytes()))
+	dec, err := decode(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,30 +187,38 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal("decoded factors differ")
 	}
 
-	// Clean EOF at the section start means "no corrections": nil, nil.
-	if dec, err := DecodeCorrections(bytes.NewReader(nil)); dec != nil || err != nil {
+	// An empty stream has no corrections section: nil, nil.
+	if dec, err := decode(nil); dec != nil || err != nil {
 		t.Fatalf("empty stream decoded (%v, %v), want (nil, nil)", dec, err)
 	}
-	// Garbage is an error, not a silent cold start.
-	if _, err := DecodeCorrections(bytes.NewReader(make([]byte, 64))); err == nil {
+	// Garbage is an error, not a silent cold start: a stream that is not a
+	// corrections section, and a corrections section with a garbage body.
+	if _, err := decode(make([]byte, 64)); err == nil {
 		t.Fatal("garbage decoded without error")
 	}
+	garbage := append([]byte(nil), w.Bytes()[:4]...)
+	garbage = append(garbage, 56, 0, 0, 0)
+	garbage = append(garbage, bytes.Repeat([]byte{0xff}, 56)...)
+	if _, err := decode(garbage); err == nil {
+		t.Fatal("garbage section body decoded without error")
+	}
 
-	// RestoreFrom with a matching shape adopts the state; a shape mismatch
-	// is an error (the caller degrades to correction-cold).
+	// Adopt with a matching shape adopts the state; a shape mismatch is an
+	// error (the caller degrades to correction-cold).
 	r2 := NewCorrections(2, CorrConfig{})
-	if err := r2.RestoreFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := r2.Adopt(dec); err != nil {
 		t.Fatal(err)
 	}
 	if r2.Factor(1) != c.Factor(1) {
-		t.Fatal("RestoreFrom did not adopt factors")
+		t.Fatal("Adopt did not adopt factors")
 	}
 	r3 := NewCorrections(5, CorrConfig{})
-	if err := r3.RestoreFrom(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := r3.Adopt(dec); err == nil {
 		t.Fatal("shape mismatch restored without error")
 	}
-	// Restoring from an empty stream resets warm state to cold.
-	if err := r2.RestoreFrom(bytes.NewReader(nil)); err != nil {
+	// Adopting "no corrections" (an empty stream) resets warm state to cold.
+	empty, _ := decode(nil)
+	if err := r2.Adopt(empty); err != nil {
 		t.Fatal(err)
 	}
 	if r2.Factor(1) != 1 || r2.Epoch() != 0 || r2.AppliedSeq() != 0 {

@@ -2,82 +2,32 @@ package ppc
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"time"
 
 	"repro/internal/optimizer"
+	"repro/internal/snapshot"
 )
 
 // State persistence: a parametric plan cache is only as good as what it
 // has learned, so a System can save its learned state — the per-template
-// histogram synopses, the plan registry, the cached plan trees and their
-// recency order — and restore it after a restart, resuming with warm
-// predictions instead of a cold re-learning phase.
+// histogram synopses and candidate sets, the plan registry, the cached
+// plan trees and cache membership — and restore it after a restart,
+// resuming with warm predictions instead of a cold re-learning phase.
 //
-// Snapshots are framed with a magic string, a version, a payload length
-// and a CRC-32C checksum. Corruption (truncation, bit flips, garbage) is
-// detected at load time and is NOT an error: a warm start is an
-// optimization, so a damaged snapshot degrades the System to a cold
+// The encoding is internal/snapshot's State, framed with a magic string, a
+// version, a payload length and a CRC-32C checksum; a replica snapshot
+// carries the same bytes. Corruption (truncation, bit flips, garbage, an
+// older format) is detected at load time and is NOT an error: a warm start
+// is an optimization, so a damaged snapshot degrades the System to a cold
 // learner and the damage is reported via LoadStateReport. Only
 // non-recoverable mismatches — restoring onto the wrong database, or onto
 // a System that has already learned — are hard *SnapshotError failures.
 //
 // The database itself is regenerated deterministically from Options.TPCH,
 // so only the learned state is persisted.
-
-const (
-	// snapMagic opens every snapshot stream.
-	snapMagic = "PPCSNAP\x00"
-	// snapVersion is the current envelope version.
-	snapVersion = 1
-	// maxSnapBody caps the declared payload length so a corrupted length
-	// field cannot drive a huge allocation.
-	maxSnapBody = 1 << 30
-)
-
-// snapCRC is the Castagnoli polynomial table (same family as the synopsis
-// streams in internal/core).
-var snapCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// savedSystem is the gob-encoded persistent form.
-type savedSystem struct {
-	// DBScale and DBSeed fingerprint the database the state was learned on.
-	DBScale int
-	DBSeed  int64
-	// Fingerprints maps dense plan id -> fingerprint, in id order.
-	Fingerprints []string
-	// Templates carries each template's SQL and learner state.
-	Templates []savedTemplate
-	// Plans carries the cached plan trees.
-	Plans []savedPlan
-	// CacheMRU lists cached plan ids from least to most recently used.
-	CacheMRU []int
-}
-
-type savedTemplate struct {
-	Name    string
-	SQL     string
-	Learner []byte
-	// CandFPs and CandEpoch carry the candidate plan set (fingerprints, and
-	// the correction epoch it was generated at). Gob-additive: snapshots
-	// written before the field decode it as empty, and restore falls back to
-	// regeneration at registration time.
-	CandFPs   []string
-	CandEpoch uint64
-}
-
-type savedPlan struct {
-	ID       int
-	Template string
-	Root     *optimizer.Node
-	Cost     float64
-	Print    string
-}
 
 // LoadReport describes what LoadState recovered from a snapshot and — when
 // durability is enabled — what the WAL tail replay added on top of it.
@@ -133,70 +83,23 @@ func (s *System) LoadStateReport() *LoadReport {
 }
 
 // SaveState writes the system's learned state to w in the framed,
-// checksummed snapshot format. The learners and the plan fingerprint table
-// come from encodeLearners (see its doc for the consistency argument); a
-// plan id whose tree is missing from the saved cache simply re-optimizes on
-// demand after restore, exactly like an evicted plan.
+// checksummed snapshot format (see captureState for what it holds and its
+// consistency argument). A plan id whose tree is missing from the saved
+// cache simply re-optimizes on demand after restore, exactly like an
+// evicted plan.
 func (s *System) SaveState(w io.Writer) (err error) {
 	defer capturePanic("ppc.SaveState", &err)
-	out := savedSystem{DBScale: s.opts.TPCH.Scale, DBSeed: s.opts.TPCH.Seed}
-	out.Fingerprints, err = s.encodeLearners(func(name string, st *templateState, learner []byte) {
-		st.candMu.RLock()
-		candFPs := append([]string(nil), st.candFPs...)
-		candEpoch := st.candEpoch
-		st.candMu.RUnlock()
-		out.Templates = append(out.Templates, savedTemplate{
-			Name: name, SQL: st.tmpl.SQL, Learner: learner,
-			CandFPs: candFPs, CandEpoch: candEpoch,
-		})
-	})
+	st, err := s.captureState()
 	if err != nil {
 		return &SnapshotError{Op: "save", Err: err}
 	}
-	s.cacheMu.RLock()
-	for id, entry := range s.planByID {
-		out.Plans = append(out.Plans, savedPlan{
-			ID: id, Template: entry.owner.tmpl.Name,
-			Root: entry.plan.Root, Cost: entry.plan.Cost, Print: entry.plan.Fingerprint,
-		})
+	b := st.Encode()
+	// The checksum covers the intact body; an injected bit flip afterwards
+	// mimics on-disk corruption and must be caught at load.
+	if off, ok := s.opts.Faults.CorruptOffset(len(b) - snapshot.HeaderLen); ok {
+		b[snapshot.HeaderLen+off] ^= 0xFF
 	}
-	// Preserve recency: the cache exposes no iteration, so approximate by
-	// saving membership; hits re-establish order quickly. Membership is
-	// what matters for avoiding re-optimization.
-	for id := range s.planByID {
-		if s.cache.Contains(id) {
-			out.CacheMRU = append(out.CacheMRU, id)
-		}
-	}
-	s.cacheMu.RUnlock()
-
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&out); err != nil {
-		return &SnapshotError{Op: "save", Err: err}
-	}
-	body := payload.Bytes()
-	// The checksum is computed over the intact payload; an injected bit
-	// flip afterwards mimics on-disk corruption and must be caught at load.
-	sum := crc32.Checksum(body, snapCRC)
-	if off, ok := s.opts.Faults.CorruptOffset(len(body)); ok {
-		body[off] ^= 0xFF
-	}
-
-	var header bytes.Buffer
-	header.WriteString(snapMagic)
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], snapVersion)
-	header.Write(u16[:])
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(len(body)))
-	header.Write(u64[:])
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], sum)
-	header.Write(u32[:])
-	if _, err := w.Write(header.Bytes()); err != nil {
-		return &SnapshotError{Op: "save", Err: err}
-	}
-	if _, err := w.Write(body); err != nil {
+	if _, err := w.Write(b); err != nil {
 		return &SnapshotError{Op: "save", Err: err}
 	}
 	return nil
@@ -226,10 +129,14 @@ func (s *System) LoadState(r io.Reader) (err error) {
 		return &SnapshotError{Op: "load", Err: fmt.Errorf("LoadState requires a fresh System")}
 	}
 
-	in, reason := decodeSnapshot(r)
-	if reason != "" {
+	b, derr := io.ReadAll(r)
+	var in *snapshot.State
+	if derr == nil {
+		in, derr = snapshot.Decode(b)
+	}
+	if derr != nil {
 		report.Corrupt = true
-		report.Reason = reason
+		report.Reason = derr.Error()
 		return nil // degrade to cold
 	}
 	if in.DBScale != s.opts.TPCH.Scale || in.DBSeed != s.opts.TPCH.Seed {
@@ -278,7 +185,7 @@ func (s *System) LoadState(r io.Reader) (err error) {
 			}
 			ts.candMu.Lock()
 			ts.candIDs = ids
-			ts.candFPs = append([]string(nil), st.CandFPs...)
+			ts.candFPs = st.CandFPs
 			ts.candEpoch = st.CandEpoch
 			ts.candMu.Unlock()
 			ts.obs.SetCandidatePlans(len(ids))
@@ -288,18 +195,21 @@ func (s *System) LoadState(r io.Reader) (err error) {
 	// Restore plan trees and cache membership under the cache lock
 	// (regMu > cacheMu in the hierarchy), compiling each plan as internPlan
 	// does. An entry registration already interned for the same template
-	// (a candidate plan) is kept. A plan without a tree, whose owning
-	// template is not in the snapshot, or that does not compile is dropped
-	// (Run re-optimizes on demand).
+	// (a candidate plan) is kept. A plan whose tree does not decode, whose
+	// owning template is not in the snapshot, or that does not compile is
+	// dropped (Run re-optimizes on demand).
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	for _, sp := range in.Plans {
 		owner := s.templates[sp.Template]
+		root, terr := optimizer.DecodeTree(sp.Tree)
 		reason := ""
-		if sp.Root == nil || owner == nil {
-			reason = fmt.Sprintf("plan %d has no tree or unknown template %q", sp.ID, sp.Template)
+		if owner == nil {
+			reason = fmt.Sprintf("plan %d has unknown template %q", sp.ID, sp.Template)
+		} else if terr != nil {
+			reason = fmt.Sprintf("plan %d: %v", sp.ID, terr)
 		} else if have := s.planByID[sp.ID]; have == nil || have.owner != owner {
-			entry, err := s.compilePlan(owner, &optimizer.Plan{Root: sp.Root, Cost: sp.Cost, Fingerprint: sp.Print})
+			entry, err := s.compilePlan(owner, &optimizer.Plan{Root: root, Cost: sp.Cost, Fingerprint: sp.Fingerprint})
 			if err != nil {
 				reason = err.Error()
 			} else {
@@ -314,59 +224,11 @@ func (s *System) LoadState(r io.Reader) (err error) {
 			continue
 		}
 		report.Plans++
-	}
-	for _, id := range in.CacheMRU {
-		entry, ok := s.planByID[id]
-		if !ok {
-			continue
+		if sp.Cached {
+			s.cache.Put(sp.ID, s.planByID[sp.ID].plan)
 		}
-		s.cache.Put(id, entry.plan)
 	}
 	return nil
-}
-
-// decodeSnapshot validates the envelope and decodes the payload. It
-// returns a non-empty reason string when the stream is corrupt.
-func decodeSnapshot(r io.Reader) (*savedSystem, string) {
-	var magic [len(snapMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Sprintf("short header: %v", err)
-	}
-	if string(magic[:]) != snapMagic {
-		return nil, "bad magic (not a PPC snapshot)"
-	}
-	var u16 [2]byte
-	if _, err := io.ReadFull(r, u16[:]); err != nil {
-		return nil, fmt.Sprintf("short version: %v", err)
-	}
-	if v := binary.LittleEndian.Uint16(u16[:]); v != snapVersion {
-		return nil, fmt.Sprintf("unsupported snapshot version %d", v)
-	}
-	var u64 [8]byte
-	if _, err := io.ReadFull(r, u64[:]); err != nil {
-		return nil, fmt.Sprintf("short length: %v", err)
-	}
-	n := binary.LittleEndian.Uint64(u64[:])
-	if n > maxSnapBody {
-		return nil, fmt.Sprintf("implausible payload length %d", n)
-	}
-	var u32 [4]byte
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return nil, fmt.Sprintf("short checksum: %v", err)
-	}
-	want := binary.LittleEndian.Uint32(u32[:])
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Sprintf("truncated payload: %v", err)
-	}
-	if got := crc32.Checksum(body, snapCRC); got != want {
-		return nil, fmt.Sprintf("checksum mismatch: got %08x want %08x", got, want)
-	}
-	var in savedSystem
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&in); err != nil {
-		return nil, fmt.Sprintf("payload decode: %v", err)
-	}
-	return &in, ""
 }
 
 // recreateLearnerLocked replaces a template's learner with a cold one
@@ -387,42 +249,52 @@ func (s *System) recreateLearnerLocked(name string) error {
 	return s.registerLocked(name, sql)
 }
 
-// encodeLearners collects the learned state a checkpoint and a replica
-// snapshot both carry: for every registered template, in name order, it
-// flushes the feedback mailbox — so every point already acknowledged by Run
-// is in the synopsis — encodes the learner under its write lock (other
-// templates keep serving) and hands the bytes to visit. It then returns the
-// plan fingerprint table. The result is per-template consistent, not
-// globally atomic. The plan registry is append-only with dense ids, so
-// reading it AFTER the learners guarantees every plan id a synopsis
-// references has a fingerprint.
-func (s *System) encodeLearners(visit func(name string, st *templateState, state []byte)) ([]string, error) {
+// captureState collects the learned state a checkpoint and a replica
+// snapshot both carry. For every registered template, in name order, it
+// flushes the feedback mailbox — so every point already acknowledged by
+// Run is in the synopsis — encodes the learner under its write lock (other
+// templates keep serving) and reads the candidate set. It then reads the
+// plan fingerprint table, the interned plan trees and cache membership.
+// The result is per-template consistent, not globally atomic. The plan
+// registry is append-only with dense ids, so reading it AFTER the learners
+// guarantees every plan id a synopsis references has a fingerprint.
+func (s *System) captureState() (*snapshot.State, error) {
+	out := &snapshot.State{DBScale: s.opts.TPCH.Scale, DBSeed: s.opts.TPCH.Seed}
 	s.regMu.RLock()
-	names := make([]string, 0, len(s.templates))
-	for n := range s.templates {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	states := make([]*templateState, len(names))
-	for i, name := range names {
-		states[i] = s.templates[name]
+	states := make([]*templateState, 0, len(s.templates))
+	for _, st := range s.templates {
+		states = append(states, st)
 	}
 	s.regMu.RUnlock()
-	for i, name := range names {
-		st := states[i]
+	sort.Slice(states, func(i, j int) bool { return states[i].tmpl.Name < states[j].tmpl.Name })
+	for _, st := range states {
 		st.flush()
 		var buf bytes.Buffer
 		if err := st.online.EncodeState(&buf); err != nil {
-			return nil, fmt.Errorf("template %s: %w", name, err)
+			return nil, fmt.Errorf("template %s: %w", st.tmpl.Name, err)
 		}
-		visit(name, st, buf.Bytes())
+		t := snapshot.Template{Name: st.tmpl.Name, SQL: st.tmpl.SQL, Learner: buf.Bytes()}
+		st.candMu.RLock()
+		t.CandFPs, t.CandEpoch = st.candFPs, st.candEpoch
+		st.candMu.RUnlock()
+		out.Templates = append(out.Templates, t)
 	}
-	var fps []string
-	for id := 0; ; id++ {
-		fp := s.reg.Fingerprint(id)
-		if fp == "" {
-			return fps, nil
-		}
-		fps = append(fps, fp)
+	out.Fingerprints = s.reg.Fingerprints()
+	s.cacheMu.RLock()
+	defer s.cacheMu.RUnlock()
+	ids := make([]int, 0, len(s.planByID))
+	for id := range s.planByID {
+		ids = append(ids, id)
 	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		entry := s.planByID[id]
+		// The cache exposes no recency order; membership is what avoids
+		// re-optimization, and hits re-establish order quickly.
+		out.Plans = append(out.Plans, snapshot.Plan{
+			ID: id, Template: entry.owner.tmpl.Name, Cost: entry.plan.Cost, Fingerprint: entry.plan.Fingerprint,
+			Tree: optimizer.EncodeTree(entry.plan.Root), Cached: s.cache.Contains(id),
+		})
+	}
+	return out, nil
 }

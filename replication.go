@@ -3,8 +3,9 @@ package ppc
 // Leader-side replication support: the System methods the ship server
 // (internal/replica.Server) drives. A leader is simply a durable System —
 // the WAL segments under the durability directory are the replication
-// stream, and ReplicationSnapshot reuses the same per-template EncodeState
-// bytes a checkpoint writes. Nothing here runs on the serving path.
+// stream, and ReplicationSnapshot ships the same encoded state a
+// checkpoint writes (internal/snapshot). Nothing here runs on the serving
+// path.
 
 import (
 	"crypto/rand"
@@ -79,9 +80,9 @@ func loadOrMintLineage(dir string) (uint64, error) {
 }
 
 // ReplicationSnapshot assembles a full state transfer for a connecting
-// replica: every template's learner encoding (the same bytes a checkpoint
-// writes), the dense plan fingerprint table, and the WAL floor the
-// snapshot covers. The floor is taken BEFORE the learners are encoded —
+// replica: the encoded system state a checkpoint holds (captureState; no
+// injected snapshot corruption, which models disk damage) and the WAL
+// floor it covers. The floor is taken BEFORE the learners are encoded —
 // applied-sequence watermarks only grow, so the encoded state reflects at
 // least every record below it and the overlap with the shipped tail is
 // deduplicated by per-template watermark replay on the replica.
@@ -91,48 +92,25 @@ func (s *System) ReplicationSnapshot() (*netproto.Snapshot, error) {
 		return nil, err
 	}
 	baseSeq := s.checkpointMinSeq()
-
-	snap := &netproto.Snapshot{Epoch: epoch, BaseSeq: baseSeq}
-	snap.Fingerprints, err = s.encodeLearners(func(name string, _ *templateState, state []byte) {
-		snap.Templates = append(snap.Templates, netproto.TemplateState{Name: name, State: state})
-	})
+	st, err := s.captureState()
 	if err != nil {
 		return nil, fmt.Errorf("ppc: encode for shipping: %w", err)
 	}
-	return snap, nil
+	return &netproto.Snapshot{Epoch: epoch, BaseSeq: baseSeq, State: st.Encode()}, nil
 }
 
 // PredictRPC serves one wire predict request against the published model
-// snapshots — the same lock-free path Run's learner decision uses, so a
-// leader's RPC answer and its serving-path decision for the same point are
-// the same prediction. Never invokes the optimizer and never feeds the
-// learner: an RPC is a read.
+// snapshots through core.Online.PredictRPC — the body replicas run too, and
+// the same lock-free prediction Run's learner decision makes.
 func (s *System) PredictRPC(req netproto.PredictRequest) netproto.PredictResult {
-	res := netproto.PredictResult{ID: req.ID}
 	st, err := s.lookup(req.Template)
 	if err != nil {
-		res.Status = netproto.StatusUnknownTemplate
-		res.ErrMsg = req.Template
-		return res
+		return netproto.PredictResult{ID: req.ID, Status: netproto.StatusUnknownTemplate, ErrMsg: req.Template}
 	}
-	if len(req.Point) != st.online.Dims() {
-		res.Status = netproto.StatusBadRequest
-		res.ErrMsg = fmt.Sprintf("point has %d coordinates, template %s expects %d",
-			len(req.Point), req.Template, st.online.Dims())
-		return res
+	res := st.online.PredictRPC(req)
+	if res.Status == netproto.StatusOK {
+		res.Fingerprint = s.reg.Fingerprint(int(res.Plan))
 	}
-	pred, costEst, costOK := st.online.PredictModel(req.Point)
-	res.Epoch = st.online.Epoch()
-	res.ModelVersion = st.online.Model().Version()
-	if !pred.OK {
-		res.Status = netproto.StatusNoPrediction
-		return res
-	}
-	res.Status = netproto.StatusOK
-	res.Plan = int64(pred.Plan)
-	res.Confidence = pred.Confidence
-	res.Cost, res.CostKnown = costEst, costOK
-	res.Fingerprint = s.reg.Fingerprint(pred.Plan)
 	return res
 }
 
