@@ -7,9 +7,11 @@ FUZZTIME ?= 15s
 
 # Benchmark pipeline knobs: `make bench` re-measures the serving-path suite
 # and writes $(BENCH_OUT) with benchcmp-style deltas against $(BENCH_BASE);
-# `make benchcmp OLD=a.json NEW=b.json` diffs any two stored reports.
+# `make benchcmp OLD=a.json NEW=b.json` diffs any two stored reports. The
+# default output is untracked; pass BENCH_OUT=BENCH_PRn.json to record a
+# report deliberately.
 BENCH_BASE ?= bench_baseline.json
-BENCH_OUT  ?= BENCH_PR10.json
+BENCH_OUT  ?= bench_out.json
 
 # Where `make profile` drops its pprof output.
 PROFILE_DIR ?= profiles

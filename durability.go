@@ -58,7 +58,7 @@ const checkpointName = "checkpoint.ppc"
 
 // walSink adapts one template's view of the shared WAL to the learner's
 // FeedbackLogger interface. LogFeedback runs under the learner write lock
-// (core.Online.applyLocked); the log serializes on its own mutex below it.
+// (core.Online.ApplyBatch); the log serializes on its own mutex below it.
 type walSink struct {
 	log      *wal.Log
 	template string

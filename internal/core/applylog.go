@@ -13,10 +13,12 @@ import (
 // copy of the learner receives the same updates in the same order as the
 // live one.
 //
-//   - Feedback records collect into a batch that goes through ReplayBatch:
-//     one lock acquisition and one publish per batch. A record whose point
-//     does not have the learner's dimensionality, or has a non-finite
-//     coordinate, is stale.
+//   - Feedback records collect into a batch that goes through ApplyBatch,
+//     the live write path: one lock acquisition and one publish per batch.
+//     A record without a sequence number (every logged record has one; a
+//     zero Seq would pass for a live point and be logged and re-tuned on
+//     again), or whose point does not have the learner's dimensionality or
+//     has a non-finite coordinate, is stale.
 //   - A retune record is a barrier: the pending batch flushes first (the
 //     rebuild reads the reservoir as it stood at the switch), then the warps
 //     go through ReplayRetune. A record whose warp grid is malformed or does
@@ -33,7 +35,7 @@ func (o *Online) ApplyLog(recs []wal.Record) (applied, skipped, stale int) {
 	corr := o.Corrections()
 	batch := make([]Feedback, 0, len(recs))
 	flush := func() {
-		a, sk, st := o.ReplayBatch(batch)
+		a, sk, st := o.ApplyBatch(batch)
 		applied += a
 		skipped += sk
 		stale += st
@@ -43,7 +45,7 @@ func (o *Online) ApplyLog(recs []wal.Record) (applied, skipped, stale int) {
 		r := &recs[i]
 		switch r.Kind {
 		case 0, wal.RecordFeedback: // a zero Kind encodes as feedback
-			if !pointFits(r.Point, dims) {
+			if r.Seq == 0 || !pointFits(r.Point, dims) {
 				stale++
 				continue
 			}

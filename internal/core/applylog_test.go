@@ -18,6 +18,7 @@ import (
 type memWAL struct {
 	template string
 	recs     []wal.Record
+	commits  int
 }
 
 func (l *memWAL) append(r wal.Record) uint64 {
@@ -34,7 +35,10 @@ func (l *memWAL) LogFeedback(fb *Feedback) (uint64, error) {
 	}), nil
 }
 
-func (l *memWAL) Commit() error { return nil }
+func (l *memWAL) Commit() error {
+	l.commits++
+	return nil
+}
 
 func (l *memWAL) LogRetune(epoch uint64, warps [][]*lsh.Warp) (uint64, error) {
 	t, s, k, flat := FlattenWarps(warps)
@@ -177,5 +181,36 @@ func TestApplyLogCopiesMatchLiveLearner(t *testing.T) {
 			}
 			requireSameLearner(t, c.what+" after second ApplyLog", live, c.o)
 		}
+	}
+}
+
+// Recovery runs with the WAL attached: replayed records go through the live
+// write path without being logged again or group-committed, and a feedback
+// record without a sequence number — which would pass for a live point — is
+// stale. A live point is logged and committed once.
+func TestApplyLogDoesNotRelog(t *testing.T) {
+	o := newApplyLogLearner()
+	log := &memWAL{template: "Q1"}
+	o.SetWAL(log)
+	o.SetRetuneLogger(log)
+	x := []float64{0.2, 0.3}
+	applied, skipped, stale := o.ApplyLog([]wal.Record{
+		{Kind: wal.RecordFeedback, Plan: int64(quadrantPlan(x)), Cost: quadrantCost(x), Point: x},
+		{Kind: wal.RecordFeedback, Seq: 7, Plan: int64(quadrantPlan(x)), Cost: quadrantCost(x), Point: x},
+	})
+	if applied != 1 || skipped != 0 || stale != 1 {
+		t.Fatalf("ApplyLog = %d applied, %d skipped, %d stale; want 1/0/1", applied, skipped, stale)
+	}
+	if o.Validated() != 1 || o.AppliedSeq() != 7 {
+		t.Fatalf("Validated %d, AppliedSeq %d; want 1, 7", o.Validated(), o.AppliedSeq())
+	}
+	if len(log.recs) != 0 || log.commits != 0 {
+		t.Fatalf("replay logged %d records and committed %d times; want none", len(log.recs), log.commits)
+	}
+	if err := o.LearnValidated(x, quadrantPlan(x), quadrantCost(x)); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.recs) != 1 || log.commits != 1 {
+		t.Fatalf("live point logged %d records and committed %d times; want 1 and 1", len(log.recs), log.commits)
 	}
 }

@@ -84,8 +84,8 @@ func TestFreezeCopyOnWrite(t *testing.T) {
 
 // A drift reset between a feedback point's creation and its application
 // invalidates the point: the histograms it was measured against are gone.
-// Apply must drop it (counted, not silent) instead of polluting the fresh
-// epoch.
+// ApplyBatch must drop it (counted, not silent) instead of polluting the
+// fresh epoch.
 func TestApplyStaleEpochDrop(t *testing.T) {
 	o, err := NewOnline(OnlineConfig{Core: Config{Dims: 2, Seed: 1}, Seed: 2}, &quadrantEnv{})
 	if err != nil {
@@ -96,9 +96,9 @@ func TestApplyStaleEpochDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := fb
-	stale.Epoch++
-	if o.Apply(stale) {
-		t.Error("Apply accepted feedback from a different epoch")
+	stale.Epoch--
+	if applied, _, _ := o.ApplyBatch([]Feedback{stale}); applied != 0 {
+		t.Error("ApplyBatch accepted feedback from an older epoch")
 	}
 	if got := o.StaleFeedbackDrops(); got != 1 {
 		t.Errorf("StaleFeedbackDrops = %d, want 1", got)
@@ -109,14 +109,14 @@ func TestApplyStaleEpochDrop(t *testing.T) {
 
 	// The same point at the current epoch applies and republishes.
 	v0 := o.Model().Version()
-	if !o.Apply(fb) {
-		t.Fatal("Apply rejected current-epoch feedback")
+	if applied, _, _ := o.ApplyBatch([]Feedback{fb}); applied != 1 {
+		t.Fatal("ApplyBatch rejected current-epoch feedback")
 	}
 	if got := o.Validated(); got != 1 {
 		t.Errorf("Validated = %d, want 1", got)
 	}
 	if o.Model().Version() <= v0 {
-		t.Error("Apply did not publish a new model snapshot")
+		t.Error("ApplyBatch did not publish a new model snapshot")
 	}
 	if o.Publishes() == 0 {
 		t.Error("publish counter did not advance")

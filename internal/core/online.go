@@ -151,8 +151,8 @@ type Decision struct {
 // Point is an owned copy (safe to retain and to apply on another
 // goroutine). Epoch is the learner's drift-reset epoch at creation time: a
 // point queued before a drift reset must not pollute the fresh synopsis, so
-// Apply drops feedback whose epoch is stale — the asynchronous analogue of
-// the serial insert-then-reset ordering.
+// ApplyBatch drops feedback whose epoch is stale — the asynchronous
+// analogue of the serial insert-then-reset ordering.
 type Feedback struct {
 	Point       []float64
 	Plan        int
@@ -169,7 +169,7 @@ type Feedback struct {
 // FeedbackSink receives feedback points produced by StepConcurrent. The
 // facade implements it with a bounded per-template mailbox drained by a
 // background apply goroutine; Deliver must not block indefinitely (degrade
-// to a synchronous Apply instead of dropping validated points).
+// to a synchronous ApplyBatch instead of dropping validated points).
 type FeedbackSink interface {
 	Deliver(fb Feedback)
 }
@@ -179,8 +179,9 @@ type FeedbackSink interface {
 // before the in-memory insert — append and apply are therefore atomic with
 // respect to EncodeState, so a checkpoint's applied-sequence watermark
 // never claims a record the checkpoint does not contain. Commit is the
-// group-commit barrier, called once per apply batch after the lock is
-// released (an fsync must not stall the write path's lock).
+// group-commit barrier, called once per apply batch that appended a record,
+// after the lock is released (an fsync must not stall the write path's
+// lock).
 type FeedbackLogger interface {
 	// LogFeedback appends one point and returns its assigned sequence
 	// number; seq 0 with nil error means the logger declined the record
@@ -207,7 +208,7 @@ type RetuneLogger interface {
 //     atomic pointer and predict with scratch buffers drawn from a pool —
 //     no lock is taken on the serving path, so any number of goroutines can
 //     predict on one template concurrently.
-//   - Writers (Apply/ApplyBatch/DecodeState/drift reset) serialize on mu,
+//   - Writers (ApplyBatch/DecodeState/drift reset) serialize on mu,
 //     mutate the live ApproxLSHHist, and publish a fresh snapshot with
 //     copy-on-write at histogram granularity (Freeze reuses every frozen
 //     histogram untouched since the previous publication).
@@ -468,7 +469,7 @@ func (o *Online) feedback(x []float64, plan int, cost float64, selfLabeled bool)
 
 func (o *Online) deliver(fb Feedback, sink FeedbackSink) {
 	if sink == nil {
-		o.Apply(fb)
+		o.ApplyBatch([]Feedback{fb})
 		return
 	}
 	sink.Deliver(fb)
@@ -492,70 +493,89 @@ func (o *Online) LearnValidated(x []float64, plan int, cost float64) error {
 	if err != nil {
 		return err
 	}
-	o.Apply(fb)
+	o.ApplyBatch([]Feedback{fb})
 	return nil
 }
 
-// Apply inserts one feedback point into the live synopsis and publishes a
-// fresh snapshot. It returns false (and counts a stale drop) when the
-// point's epoch predates the current drift-reset epoch. Safe for concurrent
-// use; writers serialize on the learner lock.
-func (o *Online) Apply(fb Feedback) bool {
-	o.mu.Lock()
-	ok := o.applyLocked(fb)
-	if ok {
-		o.publishLocked()
-	}
-	o.mu.Unlock()
-	o.commitWAL()
-	return ok
-}
-
-// ApplyBatch applies a batch of feedback points and publishes at most one
-// snapshot, amortizing the copy-on-write cost over the whole batch. One
-// WAL group commit covers the batch.
-func (o *Online) ApplyBatch(batch []Feedback) (applied, dropped int) {
+// ApplyBatch is the one path feedback takes into the synopsis: live points
+// from the background applier, its inline fallback, Step's nil sink and
+// LearnValidated, and logged points from crash recovery and replicas
+// (through ApplyLog). Per record, in order:
+//
+//   - A logged record (Seq > 0) at or below the applied-sequence watermark
+//     is already reflected — skipped, never double-applied.
+//   - A record from an epoch ahead of the learner's implies drift resets
+//     happened in between: the reset runs first, reproducing the live
+//     insert-then-reset ordering. (A live point cannot be ahead: its epoch
+//     is stamped from the learner's own.)
+//   - A record from an older epoch was superseded by a reset: it is stale,
+//     counted in StaleFeedbackDrops and not applied.
+//   - A live point (Seq == 0) is logged when a WAL is attached, under the
+//     same lock as the insert, so a checkpoint's watermark and its synopsis
+//     always agree. Append failures degrade durability only.
+//
+// The point is then inserted, the provenance counters and the watermark
+// advance (the watermark also advances over stale logged records, so a
+// second replay of the same log is a no-op), and a live point may trigger
+// the tunable-LSH re-tune — logged points never do, their switches replay
+// from retune records. The batch publishes at most one snapshot and runs
+// the WAL group commit only if it appended a record, so replay never
+// fsyncs. Safe for concurrent use; writers serialize on the learner lock.
+func (o *Online) ApplyBatch(batch []Feedback) (applied, skipped, stale int) {
 	if len(batch) == 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
 	o.mu.Lock()
-	for _, fb := range batch {
-		if o.applyLocked(fb) {
-			applied++
-		} else {
-			dropped++
+	dirty, appended := false, false
+	for i := range batch {
+		fb := &batch[i]
+		if fb.Seq != 0 && fb.Seq <= o.appliedSeq.Load() {
+			skipped++
+			continue
 		}
-	}
-	if applied > 0 {
-		o.publishLocked()
-	}
-	o.mu.Unlock()
-	o.commitWAL()
-	return applied, dropped
-}
-
-func (o *Online) applyLocked(fb Feedback) bool {
-	if fb.Epoch != o.resets.Load() {
-		o.staleDrops.Add(1)
-		return false
-	}
-	if o.wal != nil && fb.Seq == 0 {
-		// Log before insert, under the same lock, so a checkpoint's
-		// appliedSeq watermark and its synopsis always agree. Append
-		// failures are counted by the log's observer and degrade
-		// durability only — the point still applies in memory.
-		if seq, err := o.wal.LogFeedback(&fb); err == nil && seq > 0 {
+		if cur := o.resets.Load(); fb.Epoch > cur {
+			o.resetLocked(fb.Epoch)
+			dirty = true
+		} else if fb.Epoch < cur {
+			if fb.Seq != 0 {
+				o.appliedSeq.Store(fb.Seq)
+			}
+			o.staleDrops.Add(1)
+			stale++
+			continue
+		}
+		seq := fb.Seq
+		if seq == 0 && o.wal != nil {
+			if s, err := o.wal.LogFeedback(fb); err == nil && s > 0 {
+				seq, appended = s, true
+			}
+		}
+		o.pred.Insert(cluster.Sample{Point: fb.Point, Plan: fb.Plan, Cost: fb.Cost})
+		if fb.SelfLabeled {
+			o.selfLabeled.Add(1)
+		} else {
+			o.validated.Add(1)
+		}
+		if seq != 0 {
 			o.appliedSeq.Store(seq)
 		}
+		if fb.Seq == 0 && o.maybeRetuneLocked() {
+			appended = true
+		}
+		applied++
+		dirty = true
 	}
-	o.pred.Insert(cluster.Sample{Point: fb.Point, Plan: fb.Plan, Cost: fb.Cost})
-	if fb.SelfLabeled {
-		o.selfLabeled.Add(1)
-	} else {
-		o.validated.Add(1)
+	if dirty {
+		o.publishLocked()
 	}
-	o.maybeRetuneLocked()
-	return true
+	o.mu.Unlock()
+	if appended && o.wal != nil {
+		// The group commit runs outside the learner lock (an fsync must not
+		// stall concurrent writers). Commit errors are counted by the log's
+		// observer; the in-memory state is already applied.
+		o.wal.Commit() //nolint:errcheck
+	}
+	return applied, skipped, stale
 }
 
 // maybeRetuneLocked runs the tunable-LSH switch when enough insertions have
@@ -563,22 +583,25 @@ func (o *Online) applyLocked(fb Feedback) bool {
 // log the switch (absolute warps, so replay is self-contained), then re-map
 // the synopsis. Live path only — replay and replicas re-apply logged
 // switches through ReplayRetune instead of deciding their own, which keeps
-// every copy of the learner on the identical mapping. Callers hold mu.
-func (o *Online) maybeRetuneLocked() {
+// every copy of the learner on the identical mapping. It reports whether
+// it appended a log record. Callers hold mu.
+func (o *Online) maybeRetuneLocked() (logged bool) {
 	if !o.pred.RetuneDue() {
-		return
+		return false
 	}
 	epoch := o.pred.RetuneEpoch() + 1
 	warps := o.pred.PrepareRetune()
 	if warps == nil {
-		return
+		return false
 	}
 	if o.retuneLog != nil {
 		if seq, err := o.retuneLog.LogRetune(epoch, warps); err == nil && seq > 0 {
 			o.appliedSeq.Store(seq)
+			logged = true
 		}
 	}
 	o.pred.ApplyRetune(epoch, warps)
+	return logged
 }
 
 // ReplayRetune re-applies a logged re-tune switch during recovery or on a
@@ -606,72 +629,6 @@ func (o *Online) ReplayRetune(seq uint64, epoch uint64, warps [][]*lsh.Warp) boo
 // RetuneEpoch returns the re-tune epoch of the published model (0 = base
 // mapping). Lock-free.
 func (o *Online) RetuneEpoch() uint64 { return o.snap.Load().RetuneEpoch() }
-
-// commitWAL runs the group-commit barrier outside the learner lock (an
-// fsync must not stall concurrent writers). Commit errors are counted by
-// the log's observer; the in-memory state is already applied.
-func (o *Online) commitWAL() {
-	if o.wal != nil {
-		o.wal.Commit() //nolint:errcheck
-	}
-}
-
-// ReplayBatch re-applies feedback records read back from the write-ahead
-// log during recovery. Unlike ApplyBatch it is idempotent and epoch-aware:
-//
-//   - A record at or below the learner's applied sequence is already in the
-//     checkpoint — skipped, never double-applied.
-//   - A record from a newer epoch than the learner's implies drift resets
-//     happened between: the resets are performed first, reproducing the
-//     live insert-then-reset ordering.
-//   - A record from an older epoch is dropped as stale (it was superseded
-//     by a reset before the crash).
-//
-// Records are not re-logged (they are already on disk). The applied
-// sequence advances over skipped and stale records too, so a second replay
-// of the same log is a no-op.
-func (o *Online) ReplayBatch(batch []Feedback) (applied, skipped, stale int) {
-	if len(batch) == 0 {
-		return 0, 0, 0
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	dirty := false
-	for _, fb := range batch {
-		if fb.Seq != 0 && fb.Seq <= o.appliedSeq.Load() {
-			skipped++
-			continue
-		}
-		if cur := o.resets.Load(); fb.Epoch > cur {
-			o.pred.Reset()
-			o.est.Reset()
-			o.resets.Store(fb.Epoch)
-			dirty = true
-		} else if fb.Epoch < cur {
-			if fb.Seq != 0 {
-				o.appliedSeq.Store(fb.Seq)
-			}
-			o.staleDrops.Add(1)
-			stale++
-			continue
-		}
-		o.pred.Insert(cluster.Sample{Point: fb.Point, Plan: fb.Plan, Cost: fb.Cost})
-		if fb.SelfLabeled {
-			o.selfLabeled.Add(1)
-		} else {
-			o.validated.Add(1)
-		}
-		if fb.Seq != 0 {
-			o.appliedSeq.Store(fb.Seq)
-		}
-		applied++
-		dirty = true
-	}
-	if dirty {
-		o.publishLocked()
-	}
-	return applied, skipped, stale
-}
 
 // publishLocked freezes the live synopsis and publishes it. Callers hold mu.
 func (o *Online) publishLocked() {
@@ -746,11 +703,17 @@ func (o *Online) maybeReset(d *Decision) {
 	if !ok || prec >= o.cfg.PrecisionFloor {
 		return
 	}
-	o.pred.Reset()
-	o.est.Reset()
-	o.resets.Add(1)
+	o.resetLocked(o.resets.Load() + 1)
 	o.publishLocked()
 	d.Reset = true
+}
+
+// resetLocked drops the histograms and the estimator windows and moves the
+// learner to the given drift epoch. Callers hold mu and publish.
+func (o *Online) resetLocked(epoch int64) {
+	o.pred.Reset()
+	o.est.Reset()
+	o.resets.Store(epoch)
 }
 
 // Model returns the current published snapshot. Lock-free; the returned

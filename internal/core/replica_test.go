@@ -57,7 +57,7 @@ func TestReplicaOnlineBitIdenticalPredictions(t *testing.T) {
 	}
 }
 
-// A replica Online keeps learning through ReplayBatch (the shipped-records
+// A replica Online keeps learning through ApplyBatch (the shipped-records
 // path) even though it has no environment to drive Step.
 func TestReplicaOnlineReplayAdvances(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 3}
@@ -85,9 +85,9 @@ func TestReplicaOnlineReplayAdvances(t *testing.T) {
 		// Duplicate ship (snapshot/stream overlap) must be idempotent.
 		{Point: []float64{0.2, 0.2}, Plan: 0, Cost: 1, Seq: base + 1, Epoch: rep.Epoch()},
 	}
-	applied, skipped, stale := rep.ReplayBatch(batch)
+	applied, skipped, stale := rep.ApplyBatch(batch)
 	if applied != 2 || skipped != 1 || stale != 0 {
-		t.Fatalf("ReplayBatch = %d applied, %d skipped, %d stale; want 2/1/0", applied, skipped, stale)
+		t.Fatalf("ApplyBatch = %d applied, %d skipped, %d stale; want 2/1/0", applied, skipped, stale)
 	}
 	if rep.AppliedSeq() != base+2 {
 		t.Fatalf("AppliedSeq = %d, want %d", rep.AppliedSeq(), base+2)

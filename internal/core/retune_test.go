@@ -53,7 +53,7 @@ func retuneTestConfig() OnlineConfig {
 }
 
 // feedQuadrant applies n ground-truth-labeled quadrant points through the
-// write path (Apply), which is where the retune trigger lives.
+// write path (ApplyBatch), which is where the retune trigger lives.
 func feedQuadrant(t *testing.T, o *Online, n int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -196,7 +196,7 @@ func TestReplicaRetuneReplayParity(t *testing.T) {
 	var batch []Feedback
 	flush := func() {
 		if len(batch) > 0 {
-			replica.ReplayBatch(batch)
+			replica.ApplyBatch(batch)
 			batch = batch[:0]
 		}
 	}

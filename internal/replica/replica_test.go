@@ -97,7 +97,7 @@ func (f *fakeSource) feed(n int) {
 			f.t.Error(err)
 			return
 		}
-		f.online.ReplayBatch([]core.Feedback{{
+		f.online.ApplyBatch([]core.Feedback{{
 			Point: rec.Point, Plan: int(rec.Plan), Cost: rec.Cost, Seq: seq,
 		}})
 	}

@@ -192,15 +192,21 @@ func (s *System) LoadState(r io.Reader) (err error) {
 		}
 		report.Templates++
 	}
-	// Restore plan trees and cache membership under the cache lock
-	// (regMu > cacheMu in the hierarchy), compiling each plan as internPlan
-	// does. An entry registration already interned for the same template
-	// (a candidate plan) is kept. A plan whose tree does not decode, whose
-	// owning template is not in the snapshot, or that does not compile is
-	// dropped (Run re-optimizes on demand).
+	// Restore the cached plans' trees and cache membership under the cache
+	// lock (regMu > cacheMu in the hierarchy), compiling each plan as
+	// internPlan does and, like it, dropping the entry of any plan the
+	// insertion evicts (a smaller cache than the saved one), so planByID
+	// holds exactly the cached plans. An entry registration already interned
+	// for the same template (a candidate plan) is kept. A plan saved outside
+	// the cache, or whose tree does not decode, whose owning template is not
+	// in the snapshot, or that does not compile, is not restored (Run
+	// re-optimizes on demand).
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	for _, sp := range in.Plans {
+		if !sp.Cached {
+			continue
+		}
 		owner := s.templates[sp.Template]
 		root, terr := optimizer.DecodeTree(sp.Tree)
 		reason := ""
@@ -224,8 +230,8 @@ func (s *System) LoadState(r io.Reader) (err error) {
 			continue
 		}
 		report.Plans++
-		if sp.Cached {
-			s.cache.Put(sp.ID, s.planByID[sp.ID].plan)
+		if evicted := s.cache.Put(sp.ID, s.planByID[sp.ID].plan); evicted >= 0 && evicted != sp.ID {
+			delete(s.planByID, evicted)
 		}
 	}
 	return nil

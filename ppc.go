@@ -60,11 +60,9 @@ type Options struct {
 	// Online configures the per-template learners; the Core.Dims field is
 	// overridden per template with its parameter degree.
 	Online core.OnlineConfig
-	// ExecutePlans controls whether Run actually executes plans against
-	// the in-memory database (default true). Disable for prediction-only
-	// workloads (e.g. large parameter sweeps).
-	ExecutePlans bool
-	// DisableExecution is the explicit off switch for ExecutePlans.
+	// DisableExecution stops Run from executing plans against the
+	// in-memory database (execution is on by default). Set it for
+	// prediction-only workloads (e.g. large parameter sweeps).
 	DisableExecution bool
 	// DisableNegativeFeedback is the explicit off switch for the paper's
 	// Section IV-E cost-based error detector, which is on by default
@@ -172,7 +170,6 @@ func (o Options) withDefaults() Options {
 	if o.Online.InvocationProb == 0 {
 		o.Online.InvocationProb = 0.05
 	}
-	o.ExecutePlans = !o.DisableExecution
 	if o.TunableLSH.Enable {
 		if o.TunableLSH.RetuneEvery == 0 {
 			o.TunableLSH.RetuneEvery = 200
@@ -331,7 +328,7 @@ type templateState struct {
 	// mail is the bounded feedback mailbox drained by applyLoop (nil when
 	// Options.FeedbackQueue < 0 — synchronous mode). stop asks the applier
 	// to drain and exit; applyDone closes when it has. closed flags the
-	// mailbox as closing so Deliver falls back to synchronous apply.
+	// mailbox as closing so post falls back to synchronous apply.
 	mail      chan feedbackMsg
 	stop      chan struct{}
 	applyDone chan struct{}
@@ -382,26 +379,53 @@ func releaseCards(buf *cardBuf) {
 	cardBufPool.Put(buf)
 }
 
-// Deliver implements core.FeedbackSink: hand the point to the background
-// applier, or — when the mailbox is full, closed or absent — apply it
-// synchronously on the serving goroutine. Backpressure degrades latency,
-// never durability: a validated point is never silently dropped.
-func (st *templateState) Deliver(fb core.Feedback) {
+// pending is one apply batch assembled from mailbox messages: the feedback
+// points, the runs' attributed cardinality observations and the flush
+// tokens they carried.
+type pending struct {
+	batch   []core.Feedback
+	cards   []*cardBuf
+	flushes []chan struct{}
+}
+
+// add sorts one mailbox message into the batch.
+func (p *pending) add(msg feedbackMsg) {
+	switch {
+	case msg.flush != nil:
+		p.flushes = append(p.flushes, msg.flush)
+	case msg.cards != nil:
+		p.cards = append(p.cards, msg.cards)
+	default:
+		p.batch = append(p.batch, msg.fb)
+	}
+}
+
+// Deliver implements core.FeedbackSink by posting the point.
+func (st *templateState) Deliver(fb core.Feedback) { st.post(feedbackMsg{fb: fb}) }
+
+// post hands a feedback point or a run's cardinality observations to the
+// background applier, or — when the mailbox is full, closed or absent —
+// applies the message synchronously on the serving goroutine through the
+// applier's own applyBatch. Backpressure degrades latency, never
+// durability: a validated point is never silently dropped.
+func (st *templateState) post(msg feedbackMsg) {
+	point := msg.cards == nil
 	if st.mail != nil && !st.closed.Load() {
 		select {
-		case st.mail <- feedbackMsg{fb: fb}:
-			st.obs.CountFeedbackEnqueued()
+		case st.mail <- msg:
+			if point {
+				st.obs.CountFeedbackEnqueued()
+			}
 			return
 		default:
 		}
 	}
-	st.obs.CountFeedbackDeferred()
-	t0 := time.Now()
-	applied, dropped := 1, 0
-	if !st.online.Apply(fb) {
-		applied, dropped = 0, 1
+	if point {
+		st.obs.CountFeedbackDeferred()
 	}
-	st.obs.RecordApply(time.Since(t0), applied, dropped)
+	var p pending
+	p.add(msg)
+	st.applyBatch(&p)
 }
 
 // applyLoop is the template's background learner: it drains the mailbox in
@@ -409,40 +433,15 @@ func (st *templateState) Deliver(fb core.Feedback) {
 // drains whatever is left and exits.
 func (st *templateState) applyLoop() {
 	defer close(st.applyDone)
-	batch := make([]core.Feedback, 0, applyBatchMax)
-	flushes := make([]chan struct{}, 0, 4)
-	cards := make([]*cardBuf, 0, 8)
+	var p pending // reused: applyBatch empties it, keeping its capacity
 	for {
 		select {
 		case msg := <-st.mail:
-			batch, flushes, cards = st.collect(msg, batch[:0], flushes[:0], cards[:0])
-			st.applyBatch(batch, flushes, cards)
+			p.add(msg)
+			st.drainMailbox(&p)
 		case <-st.stop:
-			st.drainMailbox(batch[:0], flushes[:0], cards[:0])
+			st.drainMailbox(&p)
 			return
-		}
-	}
-}
-
-// collect gathers one batch: the triggering message plus whatever else is
-// immediately available, up to applyBatchMax points.
-func (st *templateState) collect(msg feedbackMsg, batch []core.Feedback, flushes []chan struct{}, cards []*cardBuf) ([]core.Feedback, []chan struct{}, []*cardBuf) {
-	for {
-		switch {
-		case msg.flush != nil:
-			flushes = append(flushes, msg.flush)
-		case msg.cards != nil:
-			cards = append(cards, msg.cards)
-		default:
-			batch = append(batch, msg.fb)
-		}
-		if len(batch) >= applyBatchMax {
-			return batch, flushes, cards
-		}
-		select {
-		case msg = <-st.mail:
-		default:
-			return batch, flushes, cards
 		}
 	}
 }
@@ -450,22 +449,23 @@ func (st *templateState) collect(msg feedbackMsg, batch []core.Feedback, flushes
 // applyBatch applies the batch (one snapshot publication) and the queued
 // cardinality observations, then releases the flush tokens — the mailbox
 // is FIFO, so a token completes only after every point enqueued before it
-// is in the synopsis.
-func (st *templateState) applyBatch(batch []core.Feedback, flushes []chan struct{}, cards []*cardBuf) {
-	if len(batch) > 0 {
+// is in the synopsis — and empties p for reuse.
+func (st *templateState) applyBatch(p *pending) {
+	if len(p.batch) > 0 {
 		t0 := time.Now()
-		applied, dropped := st.online.ApplyBatch(batch)
-		st.obs.RecordApply(time.Since(t0), applied, dropped)
+		applied, skipped, stale := st.online.ApplyBatch(p.batch)
+		st.obs.RecordApply(time.Since(t0), applied, skipped+stale)
 		// Lock-free snapshot read; the gauge tracks re-tunes the batch may
 		// have triggered.
 		st.obs.SetRetuneEpoch(st.online.RetuneEpoch())
 	}
-	for _, buf := range cards {
+	for _, buf := range p.cards {
 		st.applyCards(buf)
 	}
-	for _, f := range flushes {
+	for _, f := range p.flushes {
 		close(f)
 	}
+	p.batch, p.cards, p.flushes = p.batch[:0], p.cards[:0], p.flushes[:0]
 }
 
 // applyCards folds one run's attributed observations into the template's
@@ -494,45 +494,24 @@ func (st *templateState) applyCards(buf *cardBuf) {
 }
 
 // drainMailbox empties the mailbox without blocking and applies what it
-// finds. Called by the exiting applier, and inline by flushers/shutdown
-// once the applier is gone (concurrent inline drains are safe — ApplyBatch
+// finds after what p already holds, in batches of at most applyBatchMax
+// points. Called by the applier, and inline by flushers/shutdown once the
+// applier is gone (concurrent inline drains are safe — ApplyBatch
 // serializes on the learner lock and competing receives just split the
 // backlog).
-func (st *templateState) drainMailbox(batch []core.Feedback, flushes []chan struct{}, cards []*cardBuf) {
+func (st *templateState) drainMailbox(p *pending) {
 	for {
 		select {
 		case msg := <-st.mail:
-			switch {
-			case msg.flush != nil:
-				flushes = append(flushes, msg.flush)
-			case msg.cards != nil:
-				cards = append(cards, msg.cards)
-			default:
-				batch = append(batch, msg.fb)
+			if p.add(msg); len(p.batch) < applyBatchMax {
+				continue
 			}
+			st.applyBatch(p)
 		default:
-			st.applyBatch(batch, flushes, cards)
+			st.applyBatch(p)
 			return
 		}
 	}
-}
-
-// deliverCards hands one run's attributed observations to the background
-// applier, falling back — like Deliver — to a synchronous apply when the
-// mailbox is full, closed or absent.
-func (st *templateState) deliverCards(buf *cardBuf) {
-	if len(buf.obs) == 0 {
-		releaseCards(buf)
-		return
-	}
-	if st.mail != nil && !st.closed.Load() {
-		select {
-		case st.mail <- feedbackMsg{cards: buf}:
-			return
-		default:
-		}
-	}
-	st.applyCards(buf)
 }
 
 // flush blocks until every feedback point enqueued before the call has been
@@ -548,7 +527,7 @@ func (st *templateState) flush() {
 	select {
 	case st.mail <- feedbackMsg{flush: done}:
 	case <-st.applyDone:
-		st.drainMailbox(nil, nil, nil)
+		st.drainMailbox(&pending{})
 		return
 	}
 	select {
@@ -558,7 +537,7 @@ func (st *templateState) flush() {
 		// drain may or may not have seen the token — drain inline either
 		// way (closing an already-closed token cannot happen: exactly one
 		// drain receives it from the FIFO mailbox).
-		st.drainMailbox(nil, nil, nil)
+		st.drainMailbox(&pending{})
 	}
 }
 
@@ -572,7 +551,7 @@ func (st *templateState) shutdown() {
 	st.closeOnce.Do(func() { close(st.stop) })
 	<-st.applyDone
 	// Recover any message that raced past the closed flag.
-	st.drainMailbox(nil, nil, nil)
+	st.drainMailbox(&pending{})
 }
 
 // Open generates the database, builds statistics, and initializes the
@@ -1005,7 +984,7 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 		return nil, err
 	}
 
-	if s.opts.ExecutePlans {
+	if !s.opts.DisableExecution {
 		// Batched columnar execution over pooled arenas. Every run also
 		// harvests true per-operator cardinalities — for the estimation
 		// q-error histogram always, and for the correction learner when the
@@ -1060,7 +1039,11 @@ func (s *System) execObserved(st *templateState, prog *executor.CompiledPlan, va
 			buf.obs = append(buf.obs, stats.Obs{Site: so.Site, LogQ: stats.LogQ(so.Est, so.Obs)})
 		}
 	}
-	st.deliverCards(buf)
+	if len(buf.obs) == 0 {
+		releaseCards(buf)
+	} else {
+		st.post(feedbackMsg{cards: buf})
+	}
 	return out, nil
 }
 

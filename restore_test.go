@@ -188,10 +188,11 @@ func TestCompileFailureIsTypedError(t *testing.T) {
 		t.Error("a plan that does not compile entered the cache")
 	}
 
-	// Plant the tree in the index, as a snapshot written by a damaged
-	// process could carry it, and restore.
+	// Plant the tree in the index and the cache, as a snapshot written by a
+	// damaged process could carry it, and restore.
 	warm.cacheMu.Lock()
 	warm.planByID[1<<20] = &cachedPlan{owner: st, plan: bad}
+	warm.cache.Put(1<<20, bad)
 	warm.cacheMu.Unlock()
 	var buf bytes.Buffer
 	if err := warm.SaveState(&buf); err != nil {
